@@ -28,14 +28,13 @@ def main() -> int:
     model_set = rl.builtin_model()
     cfg = rl.DecisionConfig()
     tier = rl.tier_from_name(args.tier)
-    thresholds = rl.vl_thresholds(model_set, cfg)
-    intervals = rl.nzs_intervals(model_set, cfg)
+    tables = rl.DecisionTables(model_set, cfg)
 
     print("target_mbps,cluster,vl_proposed,vl_saving_pct,nzs_proposed,nzs_saving_pct")
     for target in np.linspace(args.lo, args.hi, args.steps):
         for cluster in model_set.clusters:
-            vl = rl.recommend_bitrate_vl(cluster, tier, float(target), thresholds)
-            nzs = rl.recommend_bitrate_nzs(cluster, tier, float(target), intervals)
+            vl = rl.recommend_bitrate_vl(cluster, tier, float(target), tables.vl)
+            nzs = rl.recommend_bitrate_nzs(cluster, tier, float(target), tables.nzs)
             print(
                 f"{target:.3f},{cluster},{vl:.3f},{100 * (target - vl) / target:.2f},"
                 f"{nzs:.3f},{100 * (target - nzs) / target:.2f}"

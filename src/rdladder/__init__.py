@@ -14,16 +14,17 @@ from .clustering import (
     GopAssignment,
     KMeansResult,
     RDVector,
-    assign_cluster,
-    assign_cluster_multi,
     kmeans,
     resample_to_grid,
     train,
     train_details,
 )
 from .decision import (
+    Advice,
     CurveIntersection,
     DecisionConfig,
+    DecisionTables,
+    GopError,
     GopObservation,
     Modes,
     NzsInterval,
@@ -32,17 +33,13 @@ from .decision import (
     SavingsReport,
     VlThreshold,
     build_ladder,
-    build_ladders,
     curve_intersections,
     nzs_interval,
-    nzs_intervals,
-    recommend,
     recommend_bitrate_nzs,
     recommend_bitrate_vl,
     recommend_resolution,
     savings_report,
     vl_threshold,
-    vl_thresholds,
 )
 from .errors import (
     ConditioningError,

@@ -18,20 +18,11 @@ import sys
 from pathlib import Path
 
 from .clustering import BitrateGrid, ClusterModelSet, resample_to_grid, train_details
-from .decision import (
-    DecisionConfig,
-    GopObservation,
-    Modes,
-    build_ladders,
-    nzs_intervals,
-    recommend,
-    savings_report,
-    vl_thresholds,
-)
+from .decision import DecisionConfig, DecisionTables, GopError, GopObservation, Modes
 from .errors import RDLadderError, ValidationError
 from .ingest import builtin_model, load_model, parse_measurements, save_model
 from .rd_model import compare_fits, eval_cubic
-from .service import make_server, recommendation_to_dict
+from .service import advice_document, make_server
 from .verify import all_passed, render_report, verify_rows
 
 EXIT_OK = 0
@@ -129,44 +120,18 @@ def cmd_recommend(args) -> int:
     if len(mset) == 0:
         raise ValidationError(f"{args.measurements}: no measurement rows")
 
-    ladders = build_ladders(model_set, cfg) if modes.trans_size else None
-    thresholds = vl_thresholds(model_set, cfg) if modes.vl else None
-    intervals = nzs_intervals(model_set, cfg) if modes.nzs else None
-
-    results = []
-    for obs in _observations(mset, model_set):
-        try:
-            rec = recommend(
-                obs, model_set, cfg, modes, args.target_bitrate,
-                ladders=ladders, thresholds=thresholds, intervals=intervals,
-            )
-            results.append((obs.gop_id, rec, None))
-        except RDLadderError as exc:
-            results.append((obs.gop_id, None, str(exc)))
-
-    pairs = [(r.target_bitrate, r.proposed_bitrate) for _, r, _ in results if r is not None]
-    report = savings_report({"all": pairs}) if pairs else None
+    advice = DecisionTables(model_set, cfg).advise(
+        _observations(mset, model_set), args.target_bitrate, modes
+    )
+    report = advice.savings
 
     if args.format == "json":
-        doc = {
-            "recommendations": [
-                recommendation_to_dict(rec) if rec else {"gop_id": gop_id, "error": err}
-                for gop_id, rec, err in results
-            ],
-            "savings": None
-            if report is None
-            else {
-                "total_target": report.total_target,
-                "total_proposed": report.total_proposed,
-                "saving_percent": report.saving_percent,
-            },
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(advice_document(advice), indent=2))
     elif args.format == "csv":
         print("gop_id,cluster,tier,target_bitrate_mbps,proposed_bitrate_mbps,predicted_psnr_db,modes_applied")
-        for gop_id, rec, err in results:
-            if rec is None:
-                print(f"# {gop_id}: {err}")
+        for rec in advice.results:
+            if isinstance(rec, GopError):
+                print(f"# {rec.gop_id}: {rec.error}")
             else:
                 modes_applied = "+".join(rec.modes_applied)
                 print(
@@ -178,9 +143,9 @@ def cmd_recommend(args) -> int:
             print(f"# total_proposed={report.total_proposed:.3f}")
             print(f"# saving_percent={report.saving_percent:.3f}")
     else:
-        for gop_id, rec, err in results:
-            if rec is None:
-                print(f"{gop_id}: ERROR {err}")
+        for rec in advice.results:
+            if isinstance(rec, GopError):
+                print(f"{rec.gop_id}: ERROR {rec.error}")
             else:
                 print(
                     f"{rec.gop_id}: cluster {rec.cluster}, {rec.tier.name}, "
@@ -213,9 +178,7 @@ def cmd_plotdata(args) -> int:
     steps = int((hi - lo) / PLOT_STEP + 1e-9) + 1
     bitrates = [lo + PLOT_STEP * i for i in range(steps)]
 
-    ladders = build_ladders(model_set, cfg)
-    thresholds = vl_thresholds(model_set, cfg)
-    intervals = nzs_intervals(model_set, cfg)
+    tables = DecisionTables(model_set, cfg)
 
     print("record,cluster,tier,bitrate_mbps,psnr_db")
     for cluster in clusters:
@@ -223,16 +186,17 @@ def cmd_plotdata(args) -> int:
             model = model_set.model(cluster, tier)
             for r in bitrates:
                 print(f"curve,{cluster},{tier.name},{r:.6g},{eval_cubic(model, r):.6g}")
-        for i, bp in enumerate(ladders[cluster].breakpoints):
-            left = ladders[cluster].segments[i].tier
-            right = ladders[cluster].segments[i + 1].tier
+        ladder = tables.ladders[cluster]
+        for i, bp in enumerate(ladder.breakpoints):
+            left = ladder.segments[i].tier
+            right = ladder.segments[i + 1].tier
             psnr = eval_cubic(model_set.model(cluster, right), bp)
             print(f"knee,{cluster},{left.name}/{right.name},{bp:.6g},{psnr:.6g}")
         for tier in model_set.tiers:
-            threshold = thresholds[(cluster, tier)]
+            threshold = tables.vl[(cluster, tier)]
             if threshold is not None:
                 print(f"vl_threshold,{cluster},{tier.name},{threshold.bitrate:.6g},{cfg.vl_psnr:.6g}")
-            interval = intervals[(cluster, tier)]
+            interval = tables.nzs[(cluster, tier)]
             if interval is not None:
                 model = model_set.model(cluster, tier)
                 print(f"nzs_low,{cluster},{tier.name},{interval.lo:.6g},{eval_cubic(model, interval.lo):.6g}")
@@ -254,7 +218,7 @@ def cmd_serve(args) -> int:
         server = make_server(model_set, host, port, cfg, quiet=False)
     except OSError as exc:
         raise ValidationError(f"cannot bind {args.bind}: {exc}") from None
-    print(f"advisory endpoint on http://{host}:{server.server_address[1]}/v1/recommend")
+    print(f"advisory endpoint on http://{host}:{server.server_address[1]}/v1/recommend", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -10,14 +10,13 @@ K-means labels are 0-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConflictError, CoverageError, InsufficientDataError, ValidationError
-from .rd_model import CubicRD, eval_cubic, fit_polynomial
+from .rd_model import CubicRD, fit_polynomial
 from .tiers import ResolutionTier
 
 KMEANS_MAX_ITER = 300
@@ -395,41 +394,22 @@ class GopAssignment:
             raise ValidationError("cluster indices are 1-based")
 
 
-def assign_cluster_multi(
-    points: Sequence[tuple[float, float]],
-    model_set: ClusterModelSet,
-    tier: ResolutionTier,
-    gop_id: str = "",
-) -> GopAssignment:
-    """Assign a GOP to the cluster whose centroid curve is nearest to its
-    measured (bitrate, psnr) points, by RMS PSNR residual. Ties resolve
-    toward the lower cluster index."""
-    if not points:
-        raise ValidationError("assignment needs at least one (bitrate, psnr) point")
-    if not model_set.has_tier(tier):
-        raise ValidationError(f"model has no tier {tier}")
-    for bitrate, psnr in points:
-        if not (math.isfinite(bitrate) and bitrate > 0):
-            raise ValidationError(f"bitrate must be finite and > 0, got {bitrate}")
-        if not math.isfinite(psnr):
-            raise ValidationError("psnr must be finite")
+def nearest_clusters(
+    coeffs: np.ndarray, points: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assign a batch of GOPs measured at one tier to the cluster whose
+    centroid curve is nearest to their (bitrate, psnr) points, by RMS PSNR
+    residual. Ties resolve toward the lower cluster index.
 
-    def rms(cluster: int) -> float:
-        model = model_set.model(cluster, tier)
-        sq = [(psnr - eval_cubic(model, bitrate)) ** 2 for bitrate, psnr in points]
-        return math.sqrt(sum(sq) / len(sq))
-
-    distances = {c: rms(c) for c in model_set.clusters}
-    best = min(model_set.clusters, key=lambda c: (distances[c], c))
-    return GopAssignment(gop_id=gop_id, cluster=best, distance=distances[best], tier=tier)
-
-
-def assign_cluster(
-    point: tuple[float, float],
-    model_set: ClusterModelSet,
-    tier: ResolutionTier,
-    gop_id: str = "",
-) -> GopAssignment:
-    """Single-point cluster assignment: nearest centroid curve in absolute
-    PSNR distance at the point's bitrate."""
-    return assign_cluster_multi([point], model_set, tier, gop_id=gop_id)
+    ``coeffs[j]`` holds cluster j+1's cubic as (c0, c1, c2, c3). ``points``
+    holds every GOP's points, one (bitrate, psnr) row each, GOP after GOP;
+    GOP g has ``counts[g] >= 1`` of them. Returns the 1-based clusters and
+    their RMS residuals, one per GOP.
+    """
+    r = points[:, 0:1]
+    c0, c1, c2, c3 = coeffs.T
+    resid = points[:, 1:2] - (c0 + r * (c1 + r * (c2 + r * c3)))  # [point, cluster]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    rms = np.sqrt(np.add.reduceat(resid * resid, starts, axis=0) / counts[:, None])
+    best = rms.argmin(axis=1)
+    return best + 1, rms[np.arange(len(best)), best]

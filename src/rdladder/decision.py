@@ -1,17 +1,23 @@
 """Transcoding decisions derived from cubic R-D curves: knee points,
 per-cluster resolution ladders, visually-lossless bitrate thresholds,
 near-zero-slope intervals, per-GOP recommendations and savings totals.
+
+``DecisionTables`` derives every table of a (model, config) pair once and
+answers batches of GOPs from them; the CLI, the service, ``verify-paper``
+and the scripts all decide through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterModelSet, assign_cluster_multi
+from .clustering import ClusterModelSet, GopAssignment, nearest_clusters
 from .errors import IdenticalCurvesError, ValidationError
 from .rd_model import CubicRD, eval_cubic, eval_derivative
 from .tiers import ResolutionTier
@@ -233,10 +239,6 @@ def build_ladder(model_set: ClusterModelSet, cluster: int, cfg: DecisionConfig) 
     return ResolutionLadder(cluster=cluster, segments=tuple(segments))
 
 
-def build_ladders(model_set: ClusterModelSet, cfg: DecisionConfig) -> dict[int, ResolutionLadder]:
-    return {c: build_ladder(model_set, c, cfg) for c in model_set.clusters}
-
-
 @dataclass(frozen=True)
 class VlThreshold:
     """Minimal bitrate predicted to reach the visually-lossless quality.
@@ -311,26 +313,6 @@ def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[NzsInterval]:
     if lo >= hi:
         return None
     return NzsInterval(lo=lo, hi=hi, clamped_lo=r1 < op_lo, clamped_hi=r2 > op_hi)
-
-
-def vl_thresholds(
-    model_set: ClusterModelSet, cfg: DecisionConfig
-) -> dict[tuple[int, ResolutionTier], Optional[VlThreshold]]:
-    return {
-        (c, t): vl_threshold(model_set.model(c, t), cfg)
-        for c in model_set.clusters
-        for t in model_set.tiers
-    }
-
-
-def nzs_intervals(
-    model_set: ClusterModelSet, cfg: DecisionConfig
-) -> dict[tuple[int, ResolutionTier], Optional[NzsInterval]]:
-    return {
-        (c, t): nzs_interval(model_set.model(c, t), cfg)
-        for c in model_set.clusters
-        for t in model_set.tiers
-    }
 
 
 def recommend_resolution(cluster: int, target_r: float, ladder: ResolutionLadder) -> ResolutionTier:
@@ -432,87 +414,6 @@ class Recommendation:
             raise ValidationError("proposed bitrate must never exceed the target")
 
 
-def recommend(
-    observation: GopObservation,
-    model_set: ClusterModelSet,
-    cfg: DecisionConfig,
-    modes: Modes,
-    target_r: float,
-    *,
-    ladders: Mapping[int, ResolutionLadder] | None = None,
-    thresholds: Mapping[tuple[int, ResolutionTier], Optional[VlThreshold]] | None = None,
-    intervals: Mapping[tuple[int, ResolutionTier], Optional[NzsInterval]] | None = None,
-) -> Recommendation:
-    """Full decision pipeline for one GOP: assign a cluster from the
-    measured points, pick a tier (ladder when trans-sizing is on, native
-    otherwise), then apply the visually-lossless cap and the
-    near-zero-slope reduction to the bitrate, in that order.
-
-    ``ladders``/``thresholds``/``intervals`` accept precomputed tables for
-    batch use; left as None they are derived on the fly.
-    """
-    if not modes.any_enabled:
-        raise ValidationError("at least one mode must be enabled")
-    if not (math.isfinite(target_r) and target_r > 0):
-        raise ValidationError("target bitrate must be finite and > 0")
-
-    assignment = assign_cluster_multi(
-        observation.points, model_set, observation.tier, gop_id=observation.gop_id
-    )
-    cluster = assignment.cluster
-    notes = [f"cluster {cluster} (rms {assignment.distance:.3f} dB)"]
-    applied: list[str] = []
-
-    tier = observation.tier
-    if modes.trans_size:
-        ladder = ladders[cluster] if ladders is not None else build_ladder(model_set, cluster, cfg)
-        lo, hi = cfg.operating_range
-        if not (lo <= target_r <= hi):
-            notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
-        tier = recommend_resolution(cluster, target_r, ladder)
-        if tier != observation.tier:
-            applied.append("trans_size")
-            notes.append(f"trans-size {observation.tier} -> {tier}")
-        else:
-            notes.append(f"keep {tier}")
-
-    bitrate = target_r
-    if modes.vl:
-        table = thresholds if thresholds is not None else {
-            (cluster, tier): vl_threshold(model_set.model(cluster, tier), cfg)
-        }
-        capped = recommend_bitrate_vl(cluster, tier, bitrate, table)
-        if capped < bitrate:
-            applied.append("vl")
-            notes.append(f"visually-lossless cap {bitrate:g} -> {capped:g}")
-            bitrate = capped
-    if modes.nzs:
-        table = intervals if intervals is not None else {
-            (cluster, tier): nzs_interval(model_set.model(cluster, tier), cfg)
-        }
-        reduced = recommend_bitrate_nzs(cluster, tier, bitrate, table)
-        if reduced < bitrate:
-            applied.append("nzs")
-            notes.append(f"near-zero-slope reduction {bitrate:g} -> {reduced:g}")
-            bitrate = reduced
-
-    final_model = model_set.model(cluster, tier)
-    predicted = eval_cubic(final_model, bitrate)
-    if not final_model.covers(bitrate):
-        notes.append("prediction extrapolates beyond the fitted bitrate span")
-
-    return Recommendation(
-        gop_id=observation.gop_id,
-        cluster=cluster,
-        tier=tier,
-        target_bitrate=target_r,
-        proposed_bitrate=bitrate,
-        modes_applied=tuple(applied),
-        predicted_psnr=predicted,
-        rationale="; ".join(notes),
-    )
-
-
 @dataclass(frozen=True)
 class VideoSavings:
     video_id: str
@@ -564,3 +465,176 @@ def savings_report(groups: Mapping[str, Sequence[tuple[float, float]]]) -> Savin
         total_proposed=total_proposed,
         saving_percent=100.0 * (total_target - total_proposed) / total_target,
     )
+
+
+@dataclass(frozen=True)
+class GopError:
+    """A GOP that could not be answered; it keeps its slot in the batch."""
+
+    gop_id: str
+    error: str
+
+
+@dataclass(frozen=True)
+class Advice:
+    """Answers for a batch of GOPs, one slot per GOP in input order, and
+    the savings over the answered ones (None when no GOP was answered)."""
+
+    results: tuple[Recommendation | GopError, ...]
+    savings: Optional[SavingsReport]
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionTables:
+    """Everything a decision needs that depends only on the model and the
+    config, built once when constructed: the ladder of every cluster, the
+    visually-lossless threshold and near-zero-slope interval of every
+    (cluster, tier), and the cubics stacked as
+    ``coeffs[tier_index, cluster - 1] = (c0, c1, c2, c3)`` with tiers in
+    ``model_set.tiers`` order. Immutable, so one instance can serve
+    concurrent requests.
+    """
+
+    model_set: ClusterModelSet
+    cfg: DecisionConfig
+    ladders: Mapping[int, ResolutionLadder] = field(init=False, repr=False)
+    vl: Mapping[tuple[int, ResolutionTier], Optional[VlThreshold]] = field(init=False, repr=False)
+    nzs: Mapping[tuple[int, ResolutionTier], Optional[NzsInterval]] = field(init=False, repr=False)
+    coeffs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        model_set, cfg = self.model_set, self.cfg
+        clusters, tiers = model_set.clusters, model_set.tiers
+        keys = [(c, t) for c in clusters for t in tiers]
+        coeffs = np.array([[model_set.model(c, t).coefficients for c in clusters] for t in tiers])
+        coeffs.flags.writeable = False
+        set_field = functools.partial(object.__setattr__, self)
+        ladders = {c: build_ladder(model_set, c, cfg) for c in clusters}
+        set_field("ladders", MappingProxyType(ladders))
+        set_field("vl", MappingProxyType({k: vl_threshold(model_set.model(*k), cfg) for k in keys}))
+        set_field("nzs", MappingProxyType({k: nzs_interval(model_set.model(*k), cfg) for k in keys}))
+        set_field("coeffs", coeffs)
+
+    def assign(
+        self, observations: Sequence[GopObservation]
+    ) -> tuple[GopAssignment | GopError, ...]:
+        """Assign each GOP to the cluster whose curve at the GOP's tier is
+        nearest to its measured points, by RMS PSNR residual; ties resolve
+        toward the lower cluster index. A GOP with no points, non-finite
+        values, a bitrate <= 0 or a tier the model lacks gets a GopError
+        in its slot."""
+        tier_index = {t: i for i, t in enumerate(self.model_set.tiers)}
+        slots: list[GopAssignment | GopError | None] = [None] * len(observations)
+        by_tier: dict[int, list[int]] = {}
+        for slot, obs in enumerate(observations):
+            error = _assignment_error(obs, tier_index)
+            if error is None:
+                by_tier.setdefault(tier_index[obs.tier], []).append(slot)
+            else:
+                slots[slot] = GopError(obs.gop_id, error)
+        for index, members in by_tier.items():
+            counts = np.array([len(observations[slot].points) for slot in members])
+            points = np.array(
+                [point for slot in members for point in observations[slot].points], dtype=float
+            )
+            clusters, distances = nearest_clusters(self.coeffs[index], points, counts)
+            for slot, cluster, distance in zip(members, clusters.tolist(), distances.tolist()):
+                obs = observations[slot]
+                slots[slot] = GopAssignment(obs.gop_id, cluster, distance, obs.tier)
+        return tuple(slots)
+
+    def advise(
+        self, observations: Sequence[GopObservation], target_r: float, modes: Modes
+    ) -> Advice:
+        """The decision pipeline for a batch of GOPs: assign each a
+        cluster from its measured points, pick a tier (the ladder's when
+        trans-sizing is on, the native one otherwise), then apply the
+        visually-lossless cap and the near-zero-slope reduction to the
+        target bitrate, in that order. A GOP that cannot be answered gets
+        a GopError in its slot; an invalid target fails every slot."""
+        if not modes.any_enabled:
+            raise ValidationError("at least one mode must be enabled")
+        if not (math.isfinite(target_r) and target_r > 0):
+            error = "target bitrate must be finite and > 0"
+            return Advice(tuple(GopError(obs.gop_id, error) for obs in observations), None)
+
+        decisions: dict[tuple[int, ResolutionTier], tuple] = {}
+        results: list[Recommendation | GopError] = []
+        for obs, assignment in zip(observations, self.assign(observations)):
+            if isinstance(assignment, GopError):
+                results.append(assignment)
+                continue
+            key = (assignment.cluster, obs.tier)
+            if key not in decisions:
+                decisions[key] = self._decide(assignment.cluster, obs.tier, target_r, modes)
+            tier, bitrate, applied, predicted, notes = decisions[key]
+            results.append(
+                Recommendation(
+                    gop_id=obs.gop_id,
+                    cluster=assignment.cluster,
+                    tier=tier,
+                    target_bitrate=target_r,
+                    proposed_bitrate=bitrate,
+                    modes_applied=applied,
+                    predicted_psnr=predicted,
+                    rationale="; ".join(
+                        [f"cluster {assignment.cluster} (rms {assignment.distance:.3f} dB)", *notes]
+                    ),
+                )
+            )
+        pairs = [
+            (r.target_bitrate, r.proposed_bitrate) for r in results if isinstance(r, Recommendation)
+        ]
+        return Advice(tuple(results), savings_report({"all": pairs}) if pairs else None)
+
+    def _decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
+        """(tier, proposed bitrate, modes applied, predicted PSNR, notes)
+        for every GOP of ``cluster`` measured at ``native``."""
+        notes: list[str] = []
+        applied: list[str] = []
+        tier = native
+        if modes.trans_size:
+            lo, hi = self.cfg.operating_range
+            if not (lo <= target_r <= hi):
+                notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
+            tier = recommend_resolution(cluster, target_r, self.ladders[cluster])
+            if tier != native:
+                applied.append("trans_size")
+                notes.append(f"trans-size {native} -> {tier}")
+            else:
+                notes.append(f"keep {tier}")
+
+        bitrate = target_r
+        if modes.vl:
+            capped = recommend_bitrate_vl(cluster, tier, bitrate, self.vl)
+            if capped < bitrate:
+                applied.append("vl")
+                notes.append(f"visually-lossless cap {bitrate:g} -> {capped:g}")
+                bitrate = capped
+        if modes.nzs:
+            reduced = recommend_bitrate_nzs(cluster, tier, bitrate, self.nzs)
+            if reduced < bitrate:
+                applied.append("nzs")
+                notes.append(f"near-zero-slope reduction {bitrate:g} -> {reduced:g}")
+                bitrate = reduced
+
+        final_model = self.model_set.model(cluster, tier)
+        predicted = eval_cubic(final_model, bitrate)
+        if not final_model.covers(bitrate):
+            notes.append("prediction extrapolates beyond the fitted bitrate span")
+        return tier, bitrate, tuple(applied), predicted, tuple(notes)
+
+
+def _assignment_error(
+    obs: GopObservation, tier_index: Mapping[ResolutionTier, int]
+) -> Optional[str]:
+    if not obs.points:
+        return "assignment needs at least one (bitrate, psnr) point"
+    if obs.tier not in tier_index:
+        return f"model has no tier {obs.tier}"
+    for bitrate, psnr in obs.points:
+        if not (math.isfinite(bitrate) and bitrate > 0):
+            return f"bitrate must be finite and > 0, got {bitrate}"
+        if not math.isfinite(psnr):
+            return "psnr must be finite"
+    return None

@@ -48,7 +48,6 @@ class MeasurementSet:
 
     samples: dict[tuple[str, ResolutionTier], tuple[RDSample, ...]]
     source: str = ""
-    row_count: int = 0
 
     def groups(self) -> Iterator[tuple[tuple[str, ResolutionTier], tuple[RDSample, ...]]]:
         return iter(self.samples.items())
@@ -85,7 +84,6 @@ def parse_measurements(text: str, source: str = "") -> MeasurementSet:
         )
 
     grouped: dict[tuple[str, ResolutionTier], dict[float, tuple[float, int]]] = {}
-    row_count = 0
     for lineno, line in rows[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
@@ -110,7 +108,6 @@ def parse_measurements(text: str, source: str = "") -> MeasurementSet:
                 f"psnr {prev[0]:g} from line {prev[1]} (got {psnr:g})"
             )
         bucket[sample.bitrate] = (sample.psnr, lineno)
-        row_count += 1
 
     samples = {
         key: tuple(
@@ -119,7 +116,7 @@ def parse_measurements(text: str, source: str = "") -> MeasurementSet:
         )
         for key, bucket in grouped.items()
     }
-    return MeasurementSet(samples=samples, source=source, row_count=row_count)
+    return MeasurementSet(samples=samples, source=source)
 
 
 def format_measurements(mset: MeasurementSet) -> str:

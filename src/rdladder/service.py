@@ -2,9 +2,10 @@
 (bitrate, psnr) points per GOP plus a target bitrate and modes, and
 answers with per-GOP recommendations and a savings summary.
 
-Requests are independent and served over a shared immutable model, so
-the threading server needs no locking. Malformed requests get structured
-error documents, never dropped connections.
+Requests are independent and served over decision tables built once at
+start-up and never mutated, so the threading server needs no locking.
+Malformed requests get structured error documents, never dropped
+connections.
 
 Request document:
     {"target_bitrate": 3.0, "modes": ["vl"],
@@ -21,18 +22,18 @@ slot; the savings summary covers the answered GOPs (null if none).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .clustering import ClusterModelSet
 from .decision import (
+    Advice,
     DecisionConfig,
+    DecisionTables,
+    GopError,
     GopObservation,
     Modes,
     Recommendation,
-    build_ladders,
-    nzs_intervals,
-    recommend,
-    vl_thresholds,
 )
 from .errors import RDLadderError, ValidationError
 from .tiers import tier_from_name
@@ -50,6 +51,28 @@ def recommendation_to_dict(rec: Recommendation) -> dict:
         "predicted_psnr": rec.predicted_psnr,
         "modes_applied": list(rec.modes_applied),
         "rationale": rec.rationale,
+    }
+
+
+def advice_document(advice: Advice) -> dict:
+    """The response document: one entry per GOP in order (an error entry
+    for a GOP that could not be answered) and the savings summary, null
+    when no GOP was answered."""
+    savings = advice.savings
+    return {
+        "recommendations": [
+            recommendation_to_dict(r)
+            if isinstance(r, Recommendation)
+            else {"gop_id": r.gop_id, "error": r.error}
+            for r in advice.results
+        ],
+        "savings": None
+        if savings is None
+        else {
+            "total_target": savings.total_target,
+            "total_proposed": savings.total_proposed,
+            "saving_percent": savings.saving_percent,
+        },
     }
 
 
@@ -74,9 +97,7 @@ def _parse_observation(entry, index: int) -> GopObservation:
     return GopObservation(gop_id=gop_id, tier=tier, points=tuple(parsed))
 
 
-def handle_recommend_request(
-    payload, model_set: ClusterModelSet, cfg: DecisionConfig
-) -> tuple[int, dict]:
+def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict]:
     """Process one advisory request document; returns (http_status, body).
     Pure function: all the protocol logic lives here, the HTTP handler
     only moves bytes."""
@@ -101,35 +122,24 @@ def handle_recommend_request(
     if not (target > 0):
         return 400, {"error": "target_bitrate must be > 0"}
 
-    ladders = build_ladders(model_set, cfg) if modes.trans_size else None
-    thresholds = vl_thresholds(model_set, cfg) if modes.vl else None
-    intervals = nzs_intervals(model_set, cfg) if modes.nzs else None
-
-    answers = []
-    pairs = []
+    slots: list[GopObservation | GopError] = []
     for index, entry in enumerate(gops):
         try:
-            obs = _parse_observation(entry, index)
-            rec = recommend(
-                obs, model_set, cfg, modes, target,
-                ladders=ladders, thresholds=thresholds, intervals=intervals,
-            )
-            answers.append(recommendation_to_dict(rec))
-            pairs.append((rec.target_bitrate, rec.proposed_bitrate))
+            slots.append(_parse_observation(entry, index))
         except (RDLadderError, TypeError, ValueError) as exc:
             gop_id = entry.get("gop_id", "") if isinstance(entry, dict) else ""
-            answers.append({"gop_id": gop_id, "error": str(exc)})
+            slots.append(GopError(gop_id, str(exc)))
+    advice = tables.advise([s for s in slots if isinstance(s, GopObservation)], target, modes)
+    answers = iter(advice.results)
+    results = tuple(s if isinstance(s, GopError) else next(answers) for s in slots)
+    return 200, advice_document(replace(advice, results=results))
 
-    savings = None
-    if pairs:
-        total_target = sum(t for t, _ in pairs)
-        total_proposed = sum(p for _, p in pairs)
-        savings = {
-            "total_target": total_target,
-            "total_proposed": total_proposed,
-            "saving_percent": 100.0 * (total_target - total_proposed) / total_target,
-        }
-    return 200, {"recommendations": answers, "savings": savings}
+
+class _AdvisoryServer(ThreadingHTTPServer):
+    # socketserver's default listen backlog of 5 overflows when a burst of
+    # clients connects at once; the excess connections were then reset
+    # instead of queued.
+    request_queue_size = 128
 
 
 def make_server(
@@ -141,8 +151,9 @@ def make_server(
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the advisory HTTP server; callers run
     ``serve_forever`` themselves, which keeps tests and the CLI honest
-    about ownership of the listening socket."""
-    decision_cfg = cfg or DecisionConfig()
+    about ownership of the listening socket. The decision tables are
+    built here, once, and every request reuses them."""
+    tables = DecisionTables(model_set, cfg or DecisionConfig())
 
     class AdvisoryHandler(BaseHTTPRequestHandler):
         def _send(self, status: int, body: dict):
@@ -165,7 +176,7 @@ def make_server(
                 self._send(400, {"error": "request body must be valid JSON"})
                 return
             try:
-                status, body = handle_recommend_request(payload, model_set, decision_cfg)
+                status, body = handle_recommend_request(payload, tables)
             except Exception as exc:  # defensive: never drop the connection
                 self._send(500, {"error": f"internal error: {exc}"})
                 return
@@ -178,4 +189,4 @@ def make_server(
             if not quiet:
                 super().log_message(fmt, *args)
 
-    return ThreadingHTTPServer((host, port), AdvisoryHandler)
+    return _AdvisoryServer((host, port), AdvisoryHandler)

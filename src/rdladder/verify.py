@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 from .decision import (
     DecisionConfig,
-    build_ladder,
+    DecisionTables,
     curve_intersections,
-    nzs_interval,
     recommend_bitrate_nzs,
     recommend_bitrate_vl,
-    vl_threshold,
 )
 from .ingest import builtin_model
 from .tiers import tier_from_name
@@ -157,6 +155,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
     model and compare, one row per quantity."""
     cfg = cfg or DecisionConfig()
     model = builtin_model()
+    tables = DecisionTables(model, cfg)
     rows: list[VerifyRow] = []
 
     for (cluster, lo_tier, hi_tier), expected in REFERENCE_KNEES.items():
@@ -173,7 +172,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
             nearest = min((x.bitrate for x in hits), key=lambda r: abs(r - expected))
             rows.append(_check("knee", name, nearest, expected, KNEE_TOL))
 
-    ladder1 = build_ladder(model, 1, cfg)
+    ladder1 = tables.ladders[1]
     bps = ", ".join(f"{b:.4f}" for b in ladder1.breakpoints)
     tiers1 = "/".join(s.tier.name for s in ladder1.segments)
     rows.append(
@@ -195,7 +194,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
 
     for (cluster, tier_name), expected in sorted(REFERENCE_VL.items(), key=_by_cluster_then_tier):
         tier = tier_from_name(tier_name)
-        found = vl_threshold(model.model(cluster, tier), cfg)
+        found = tables.vl[(cluster, tier)]
         name = f"cluster {cluster} {tier_name} visually-lossless threshold"
         computed = "none" if found is None else f"{found.bitrate:.4f}"
         if (cluster, tier_name) in NON_DERIVABLE_VL:
@@ -216,7 +215,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
 
     for (cluster, tier_name), expected_iv in sorted(REFERENCE_NZS.items(), key=_by_cluster_then_tier):
         tier = tier_from_name(tier_name)
-        found = nzs_interval(model.model(cluster, tier), cfg)
+        found = tables.nzs[(cluster, tier)]
         name = f"cluster {cluster} {tier_name} near-zero-slope interval"
         if expected_iv is None:
             rows.append(
@@ -248,9 +247,8 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
                 )
             )
 
-    ladders = {c: build_ladder(model, c, cfg) for c in model.clusters}
     for (cluster, target), tier_name in REFERENCE_TRANSSIZE.items():
-        picked = ladders[cluster].tier_at(target)
+        picked = tables.ladders[cluster].tier_at(target)
         rows.append(
             VerifyRow(
                 "trans-sizing",
@@ -262,12 +260,9 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         )
 
     tier_1080 = tier_from_name("1080p")
-    thresholds = {
-        (c, tier_1080): vl_threshold(model.model(c, tier_1080), cfg) for c in model.clusters
-    }
     for video, (target, expected_total, expected_saving) in VL_SCENARIOS.items():
         proposed = [
-            recommend_bitrate_vl(c, tier_1080, target, thresholds)
+            recommend_bitrate_vl(c, tier_1080, target, tables.vl)
             for c in SCENARIO_CLUSTERS[video]
         ]
         total = sum(proposed)
@@ -277,7 +272,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         rows.append(_check("savings-vl", f"{video} saving %", saving, expected_saving, SAVING_TOL))
     for video, (target, published_total) in VL_SCENARIO_DISCREPANCY.items():
         proposed = [
-            recommend_bitrate_vl(c, tier_1080, target, thresholds)
+            recommend_bitrate_vl(c, tier_1080, target, tables.vl)
             for c in SCENARIO_CLUSTERS[video]
         ]
         rows.append(
@@ -289,12 +284,9 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
             )
         )
 
-    intervals = {
-        (c, tier_1080): nzs_interval(model.model(c, tier_1080), cfg) for c in model.clusters
-    }
     for video, (target, expected_total, expected_saving) in NZS_SCENARIOS.items():
         proposed = [
-            recommend_bitrate_nzs(c, tier_1080, target, intervals)
+            recommend_bitrate_nzs(c, tier_1080, target, tables.nzs)
             for c in SCENARIO_CLUSTERS[video]
         ]
         total = sum(proposed)
@@ -304,7 +296,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         rows.append(_check("savings-nzs", f"{video} saving %", saving, expected_saving, SAVING_TOL))
     for video, (target, published_total) in NZS_SCENARIO_DISCREPANCY.items():
         proposed = [
-            recommend_bitrate_nzs(c, tier_1080, target, intervals)
+            recommend_bitrate_nzs(c, tier_1080, target, tables.nzs)
             for c in SCENARIO_CLUSTERS[video]
         ]
         rows.append(

@@ -31,3 +31,8 @@ def t720() -> rl.ResolutionTier:
 @pytest.fixture(scope="session")
 def t1080() -> rl.ResolutionTier:
     return rl.tier_from_name("1080p")
+
+
+@pytest.fixture(scope="session")
+def tables(paper_model, cfg) -> rl.DecisionTables:
+    return rl.DecisionTables(paper_model, cfg)

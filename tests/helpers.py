@@ -1,15 +1,18 @@
 """Shared test utilities: independent oracles and synthetic-data builders.
 
 The oracles here stay deliberately dumb (dense scans, bisection, finite
-differences) so they cannot share a failure mode with the code under
-test.
+differences, one GOP at a time) so they cannot share a failure mode
+with the code under test.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import rdladder as rl
+from rdladder.errors import RDLadderError, ValidationError
 
 
 def bisection_roots(coeffs_desc, lo: float, hi: float, step: float = 1e-4,
@@ -102,3 +105,101 @@ def random_cubics(count: int, seed: int) -> list[rl.CubicRD]:
             c0 += rng.uniform(20, 40)  # lift so curves look like PSNR
         out.append(rl.CubicRD(c0, c1, c2, c3, valid_range=(0.2, 6.0)))
     return out
+
+
+def scalar_assign(points, model_set, tier, gop_id: str = "") -> rl.GopAssignment:
+    """Reference cluster assignment, one GOP at a time: the RMS PSNR
+    residual to each cluster curve by scalar evaluation, ties toward the
+    lower cluster index."""
+    if not points:
+        raise ValidationError("assignment needs at least one (bitrate, psnr) point")
+    if not model_set.has_tier(tier):
+        raise ValidationError(f"model has no tier {tier}")
+    for bitrate, psnr in points:
+        if not (math.isfinite(bitrate) and bitrate > 0):
+            raise ValidationError(f"bitrate must be finite and > 0, got {bitrate}")
+        if not math.isfinite(psnr):
+            raise ValidationError("psnr must be finite")
+
+    def rms(cluster: int) -> float:
+        model = model_set.model(cluster, tier)
+        sq = [(psnr - rl.eval_cubic(model, bitrate)) ** 2 for bitrate, psnr in points]
+        return math.sqrt(sum(sq) / len(sq))
+
+    distances = {c: rms(c) for c in model_set.clusters}
+    best = min(model_set.clusters, key=lambda c: (distances[c], c))
+    return rl.GopAssignment(gop_id=gop_id, cluster=best, distance=distances[best], tier=tier)
+
+
+def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recommendation:
+    """Reference decision pipeline for one GOP, deriving the one ladder,
+    threshold and interval it needs on the fly."""
+    if not modes.any_enabled:
+        raise ValidationError("at least one mode must be enabled")
+    if not (math.isfinite(target_r) and target_r > 0):
+        raise ValidationError("target bitrate must be finite and > 0")
+
+    assignment = scalar_assign(observation.points, model_set, observation.tier, observation.gop_id)
+    cluster = assignment.cluster
+    notes = [f"cluster {cluster} (rms {assignment.distance:.3f} dB)"]
+    applied = []
+
+    tier = observation.tier
+    if modes.trans_size:
+        ladder = rl.build_ladder(model_set, cluster, cfg)
+        lo, hi = cfg.operating_range
+        if not (lo <= target_r <= hi):
+            notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
+        tier = rl.recommend_resolution(cluster, target_r, ladder)
+        if tier != observation.tier:
+            applied.append("trans_size")
+            notes.append(f"trans-size {observation.tier} -> {tier}")
+        else:
+            notes.append(f"keep {tier}")
+
+    bitrate = target_r
+    if modes.vl:
+        table = {(cluster, tier): rl.vl_threshold(model_set.model(cluster, tier), cfg)}
+        capped = rl.recommend_bitrate_vl(cluster, tier, bitrate, table)
+        if capped < bitrate:
+            applied.append("vl")
+            notes.append(f"visually-lossless cap {bitrate:g} -> {capped:g}")
+            bitrate = capped
+    if modes.nzs:
+        table = {(cluster, tier): rl.nzs_interval(model_set.model(cluster, tier), cfg)}
+        reduced = rl.recommend_bitrate_nzs(cluster, tier, bitrate, table)
+        if reduced < bitrate:
+            applied.append("nzs")
+            notes.append(f"near-zero-slope reduction {bitrate:g} -> {reduced:g}")
+            bitrate = reduced
+
+    final_model = model_set.model(cluster, tier)
+    predicted = rl.eval_cubic(final_model, bitrate)
+    if not final_model.covers(bitrate):
+        notes.append("prediction extrapolates beyond the fitted bitrate span")
+
+    return rl.Recommendation(
+        gop_id=observation.gop_id,
+        cluster=cluster,
+        tier=tier,
+        target_bitrate=target_r,
+        proposed_bitrate=bitrate,
+        modes_applied=tuple(applied),
+        predicted_psnr=predicted,
+        rationale="; ".join(notes),
+    )
+
+
+def scalar_advise(observations, model_set, cfg, modes, target_r) -> rl.Advice:
+    """Reference batch: ``scalar_recommend`` per GOP, an error slot for
+    each GOP it rejects, savings over the answered GOPs."""
+    results = []
+    for obs in observations:
+        try:
+            results.append(scalar_recommend(obs, model_set, cfg, modes, target_r))
+        except RDLadderError as exc:
+            results.append(rl.GopError(obs.gop_id, str(exc)))
+    pairs = [
+        (r.target_bitrate, r.proposed_bitrate) for r in results if isinstance(r, rl.Recommendation)
+    ]
+    return rl.Advice(tuple(results), rl.savings_report({"all": pairs}) if pairs else None)

@@ -100,7 +100,7 @@ SCENARIO_CLUSTERS = {
 
 
 def test_criterion_4_vl_savings_reproduction(model, config):
-    thresholds = rl.vl_thresholds(model, config)
+    thresholds = rl.DecisionTables(model, config).vl
     targets = {
         "Test_1": 6.0, "Test_2": 3.0, "Test_3": 3.0, "Test_4": 6.0,
         "Test_5": 1.0, "Test_7": 3.0, "Test_9": 3.0, "Test_10": 3.0,
@@ -135,7 +135,7 @@ def test_criterion_4_vl_savings_reproduction(model, config):
 
 
 def test_criterion_5_nzs_savings_reproduction(model, config):
-    intervals = rl.nzs_intervals(model, config)
+    intervals = rl.DecisionTables(model, config).nzs
     cases = {
         "Test_2": (4.575, 39.34, 14.011),
         "Test_5": (4.575, 32.93, 28.022),
@@ -248,22 +248,18 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     combos = [
         rl.Modes(*flags) for flags in itertools.product((False, True), repeat=3) if any(flags)
     ]
-    ladders = rl.build_ladders(model, config)
-    thresholds = rl.vl_thresholds(model, config)
-    intervals = rl.nzs_intervals(model, config)
+    tables = rl.DecisionTables(model, config)
     sweep = np.linspace(0.25, 6.0, 100)
+    observations = []
     for cluster in model.clusters:
         curve = model.model(cluster, T1080)
         points = tuple((float(r), rl.eval_cubic(curve, float(r))) for r in (0.5, 2.0, 5.0))
-        obs = rl.GopObservation(gop_id=f"c{cluster}", tier=T1080, points=points)
-        for target in sweep:
-            for modes in combos:
-                rec = rl.recommend(
-                    obs, model, config, modes, float(target),
-                    ladders=ladders, thresholds=thresholds, intervals=intervals,
-                )
+        observations.append(rl.GopObservation(gop_id=f"c{cluster}", tier=T1080, points=points))
+    for target in sweep:
+        for modes in combos:
+            for rec in tables.advise(observations, float(target), modes).results:
                 if not (0 < rec.proposed_bitrate <= rec.target_bitrate):
-                    failures.append(f"unsafe proposal c{cluster}@{target:.3f} {modes.enabled}")
+                    failures.append(f"unsafe proposal {rec.gop_id}@{target:.3f} {modes.enabled}")
 
     # Model file round-trip equality.
     text = rl.save_model(model)

@@ -1,4 +1,9 @@
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +250,38 @@ def test_usage_error_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def package_env() -> dict:
+    """The environment of a child ``python``: the package on its path and,
+    as in a plain shell, output buffered when it is not a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_help_exits_0():
+    done = subprocess.run([sys.executable, "-m", "rdladder", "--help"], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: rdladder")
+
+
+def test_serve_prints_address_through_a_pipe():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rdladder.cli", "serve", "--paper-model", "--bind", "127.0.0.1:0"],
+        env=package_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        line = proc.stdout.readline().decode() if ready else ""
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert line.startswith("advisory endpoint on http://127.0.0.1:")
+    assert line.rstrip().endswith("/v1/recommend")

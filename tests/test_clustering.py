@@ -227,57 +227,64 @@ class TestTrain:
             rl.train(by_tier, grid, k=6, seed=42)
 
 
+def assign_one(tables, points, tier, gop_id=""):
+    (result,) = tables.assign([rl.GopObservation(gop_id, tier, tuple(points))])
+    return result
+
+
 class TestAssign:
-    def test_point_on_curve(self, paper_model, t1080):
+    def test_point_on_curve(self, paper_model, tables, t1080):
         q = rl.eval_cubic(paper_model.model(3, t1080), 5.018)
-        assignment = rl.assign_cluster((5.018, q), paper_model, t1080, gop_id="g")
-        assert assignment.cluster == 3
+        assignment = assign_one(tables, [(5.018, q)], t1080, gop_id="g")
+        assert assignment.cluster == 3 and assignment.gop_id == "g"
         assert assignment.distance < 1e-9
         # The reference threshold bitrate evaluates to 40 dB on this curve.
         assert q == pytest.approx(40.0, abs=0.01)
 
-    def test_reference_test_video(self, paper_model, t1080):
+    def test_reference_test_video(self, tables, t1080):
         # A published test video's (bitrate, PSNR) pair sits nearest the
         # cluster-6 centroid (cluster 5 is ~5.9 dB away, cluster 6 ~1.7).
-        assignment = rl.assign_cluster((5.617, 54.665), paper_model, t1080)
+        assignment = assign_one(tables, [(5.617, 54.665)], t1080)
         assert assignment.cluster == 6
         assert assignment.distance == pytest.approx(1.725, abs=0.01)
 
-    def test_tie_breaks_toward_lower_cluster(self, paper_model, t1080):
+    def test_tie_breaks_toward_lower_cluster(self, paper_model, tables, t1080):
         q1 = rl.eval_cubic(paper_model.model(1, t1080), 3.0)
         q2 = rl.eval_cubic(paper_model.model(2, t1080), 3.0)
-        assignment = rl.assign_cluster((3.0, (q1 + q2) / 2), paper_model, t1080)
+        assignment = assign_one(tables, [(3.0, (q1 + q2) / 2)], t1080)
         assert assignment.cluster == 1
 
-    def test_multi_reduces_to_single_for_one_point(self, paper_model, t1080):
+    def test_multi_reduces_to_single_for_one_point(self, tables, t1080):
         point = (2.5, 41.0)
-        single = rl.assign_cluster(point, paper_model, t1080)
-        multi = rl.assign_cluster_multi([point], paper_model, t1080)
+        single = assign_one(tables, [point], t1080)
+        multi = assign_one(tables, [point, point], t1080)
         assert (single.cluster, single.distance) == (multi.cluster, multi.distance)
 
-    def test_multi_on_curve(self, paper_model, t720):
+    def test_multi_on_curve(self, paper_model, tables, t720):
         model = paper_model.model(2, t720)
         points = [(float(b), rl.eval_cubic(model, float(b))) for b in np.linspace(0.3, 5.7, 10)]
-        assignment = rl.assign_cluster_multi(points, paper_model, t720)
+        assignment = assign_one(tables, points, t720)
         assert assignment.cluster == 2
         assert assignment.distance < 1e-9
 
-    def test_multi_straddling_ties_low(self, paper_model, t1080):
+    def test_multi_straddling_ties_low(self, paper_model, tables, t1080):
         m1, m2 = paper_model.model(1, t1080), paper_model.model(2, t1080)
         points = []
         for r in (1.0, 4.0):
             mid = (rl.eval_cubic(m1, r) + rl.eval_cubic(m2, r)) / 2
             points.append((r, mid))
-        assignment = rl.assign_cluster_multi(points, paper_model, t1080)
+        assignment = assign_one(tables, points, t1080)
         assert assignment.cluster == 1
 
-    def test_errors(self, paper_model, t1080):
-        with pytest.raises(ValidationError):
-            rl.assign_cluster_multi([], paper_model, t1080)
-        with pytest.raises(ValidationError):
-            rl.assign_cluster((0.0, 30.0), paper_model, t1080)
-        with pytest.raises(ValidationError):
-            rl.assign_cluster((1.0, 30.0), paper_model, rl.tier_from_name("1440p"))
+    def test_errors(self, tables, t1080):
+        cases = [
+            ([], t1080, "assignment needs at least one (bitrate, psnr) point"),
+            ([(0.0, 30.0)], t1080, "bitrate must be finite and > 0, got 0.0"),
+            ([(1.0, 30.0)], rl.tier_from_name("1440p"), "model has no tier 1440p"),
+            ([(1.0, 30.0), (2.0, float("nan"))], t1080, "psnr must be finite"),
+        ]
+        for points, tier, message in cases:
+            assert assign_one(tables, points, tier, gop_id="g") == rl.GopError("g", message)
 
 
 def test_model_set_must_be_complete(paper_model):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import rdladder as rl
 from rdladder.errors import IdenticalCurvesError, ValidationError
 
-from helpers import bisection_roots, random_cubics
+from helpers import bisection_roots, random_cubics, scalar_advise
 
 T1080 = rl.tier_from_name("1080p")
 T720 = rl.tier_from_name("720p")
@@ -203,15 +203,15 @@ class TestNzsInterval:
 
 
 class TestBitrateRules:
-    def test_vl_cap(self, paper_model, cfg):
-        thresholds = rl.vl_thresholds(paper_model, cfg)
+    def test_vl_cap(self, tables):
+        thresholds = tables.vl
         capped = rl.recommend_bitrate_vl(6, T1080, 3.0, thresholds)
         assert capped == pytest.approx(0.429, abs=0.005)
         assert rl.recommend_bitrate_vl(1, T1080, 3.0, thresholds) == 3.0
         assert rl.recommend_bitrate_vl(4, T1080, 1.0, thresholds) == 1.0
 
-    def test_nzs_reduction(self, paper_model, cfg):
-        intervals = rl.nzs_intervals(paper_model, cfg)
+    def test_nzs_reduction(self, paper_model, cfg, tables):
+        intervals = tables.nzs
         upper = rl.nzs_interval(paper_model.model(6, T1080), cfg).hi
         reduced = rl.recommend_bitrate_nzs(6, T1080, upper, intervals)
         assert reduced == pytest.approx(3.293, abs=0.02)
@@ -232,70 +232,76 @@ def on_curve_observation(model_set, cluster, tier, gop_id="g"):
     return rl.GopObservation(gop_id=gop_id, tier=tier, points=points)
 
 
+def advise_one(tables, obs, modes, target):
+    (result,) = tables.advise([obs], target, modes).results
+    return result
+
+
 class TestRecommend:
-    def test_vl_pipeline_on_cluster6(self, paper_model, cfg):
+    def test_vl_pipeline_on_cluster6(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 6, T1080)
-        rec = rl.recommend(obs, paper_model, cfg, rl.Modes(vl=True), 3.0)
+        rec = advise_one(tables, obs, rl.Modes(vl=True), 3.0)
         assert rec.cluster == 6 and rec.tier == T1080
         assert rec.proposed_bitrate == pytest.approx(0.429, abs=0.005)
         assert rec.predicted_psnr == pytest.approx(40.0, abs=0.01)
         assert rec.modes_applied == ("vl",)
 
-    def test_trans_size_pipeline_on_cluster3(self, paper_model, cfg):
+    def test_trans_size_pipeline_on_cluster3(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 3, T1080)
-        rec = rl.recommend(obs, paper_model, cfg, rl.Modes(trans_size=True), 1.0)
+        rec = advise_one(tables, obs, rl.Modes(trans_size=True), 1.0)
         assert rec.tier == T720
         assert rec.proposed_bitrate == 1.0
         assert rec.modes_applied == ("trans_size",)
 
-    def test_trans_size_noop_on_cluster6(self, paper_model, cfg):
+    def test_trans_size_noop_on_cluster6(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 6, T1080)
-        rec = rl.recommend(obs, paper_model, cfg, rl.Modes(trans_size=True), 2.0)
+        rec = advise_one(tables, obs, rl.Modes(trans_size=True), 2.0)
         assert rec.tier == T1080
         assert rec.proposed_bitrate == 2.0
         assert rec.modes_applied == ()
         assert rec.predicted_psnr == rl.eval_cubic(paper_model.model(6, T1080), 2.0)
 
-    def test_vl_then_nzs_ordering(self, paper_model, cfg):
+    def test_vl_then_nzs_ordering(self, paper_model, tables):
         # After the cap to ~0.429, the near-zero-slope interval no longer
         # contains the bitrate; combined modes equal the VL-only result.
         obs = on_curve_observation(paper_model, 6, T1080)
-        combined = rl.recommend(obs, paper_model, cfg, rl.Modes(vl=True, nzs=True), 4.5)
-        vl_only = rl.recommend(obs, paper_model, cfg, rl.Modes(vl=True), 4.5)
+        combined = advise_one(tables, obs, rl.Modes(vl=True, nzs=True), 4.5)
+        vl_only = advise_one(tables, obs, rl.Modes(vl=True), 4.5)
         assert combined.proposed_bitrate == vl_only.proposed_bitrate
 
-    def test_requires_a_mode(self, paper_model, cfg):
+    def test_requires_a_mode(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 6, T1080)
         with pytest.raises(ValidationError):
-            rl.recommend(obs, paper_model, cfg, rl.Modes(), 3.0)
-        with pytest.raises(ValidationError):
-            rl.recommend(obs, paper_model, cfg, rl.Modes(vl=True), 0.0)
+            tables.advise([obs], 3.0, rl.Modes())
+        for bad_target in (0.0, -1.0, float("nan"), float("inf")):
+            advice = tables.advise([obs, obs], bad_target, rl.Modes(vl=True))
+            error = rl.GopError("g", "target bitrate must be finite and > 0")
+            assert advice.results == (error, error)
+            assert advice.savings is None
 
-    def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, cfg):
+    def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, tables):
         combos = [
             rl.Modes(*flags)
             for flags in itertools.product((False, True), repeat=3)
             if any(flags)
         ]
-        ladders = rl.build_ladders(paper_model, cfg)
-        thresholds = rl.vl_thresholds(paper_model, cfg)
-        intervals = rl.nzs_intervals(paper_model, cfg)
+        observations = [
+            on_curve_observation(paper_model, cluster, T1080, gop_id=f"c{cluster}")
+            for cluster in paper_model.clusters
+        ]
         targets = np.linspace(0.21, 6.5, 100)
-        for cluster in paper_model.clusters:
-            obs = on_curve_observation(paper_model, cluster, T1080)
-            for target in targets:
-                proposed = {}
-                for modes in combos:
-                    rec = rl.recommend(
-                        obs, paper_model, cfg, modes, float(target),
-                        ladders=ladders, thresholds=thresholds, intervals=intervals,
-                    )
+        for target in targets:
+            proposed = {}
+            for modes in combos:
+                recs = tables.advise(observations, float(target), modes).results
+                for rec in recs:
                     assert rec.proposed_bitrate <= rec.target_bitrate
                     assert rec.proposed_bitrate > 0
-                    proposed[modes.enabled] = rec.proposed_bitrate
-                for a, b in itertools.combinations(combos, 2):
-                    if set(a.enabled) < set(b.enabled):
-                        assert proposed[b.enabled] <= proposed[a.enabled] + 1e-12
+                proposed[modes.enabled] = [rec.proposed_bitrate for rec in recs]
+            for a, b in itertools.combinations(combos, 2):
+                if set(a.enabled) < set(b.enabled):
+                    for pa, pb in zip(proposed[a.enabled], proposed[b.enabled]):
+                        assert pb <= pa + 1e-12
 
     @settings(max_examples=50, derandomize=True)
     @given(
@@ -304,18 +310,135 @@ class TestRecommend:
         vl=st.booleans(),
         nzs=st.booleans(),
     )
-    def test_safety_property(self, cluster, target, vl, nzs):
-        model_set = rl.builtin_model()
-        cfg = rl.DecisionConfig()
+    def test_safety_property(self, tables, cluster, target, vl, nzs):
         modes = rl.Modes(trans_size=True, vl=vl, nzs=nzs)
-        obs = on_curve_observation(model_set, cluster, T1080)
-        rec = rl.recommend(obs, model_set, cfg, modes, target)
+        obs = on_curve_observation(tables.model_set, cluster, T1080)
+        rec = advise_one(tables, obs, modes, target)
         assert 0 < rec.proposed_bitrate <= target
 
 
+@st.composite
+def dyadic_model_sets(draw):
+    """A model whose cubics have dyadic coefficients, with cluster c's curve
+    equal to cluster c-1's plus s*(R - x)*(R - y) at every tier. Curve
+    values at the dyadic bitrates x and y are then exact, so a point
+    there has exactly the same residual against clusters c-1 and c.
+    Returns the model and {tier: [(c-1, c, x, y), ...]}."""
+    k = draw(st.integers(2, 4))
+    tiers = sorted(draw(st.lists(st.sampled_from(rl.STANDARD_TIERS), min_size=1, max_size=3,
+                                 unique=True)))
+    grid = rl.BitrateGrid.default()
+    eighths = st.integers(2, 48).map(lambda i: i / 8)
+    models, centroids, crossings = {}, {}, {}
+    for tier in tiers:
+        coeffs = (
+            draw(st.integers(160, 320)) / 8,
+            draw(st.integers(0, 384)) / 32,
+            -draw(st.integers(0, 128)) / 64,
+            draw(st.integers(0, 64)) / 256,
+        )
+        for cluster in range(1, k + 1):
+            if cluster > 1:
+                x, y = draw(eighths), draw(eighths)
+                s = draw(st.integers(-64, 64).filter(bool)) / 64
+                c0, c1, c2, c3 = coeffs
+                coeffs = (c0 + s * x * y, c1 - s * (x + y), c2 + s, c3)
+                crossings.setdefault(tier, []).append((cluster - 1, cluster, x, y))
+            model = rl.CubicRD(*coeffs, valid_range=(0.2, 6.0))
+            models[(cluster, tier)] = model
+            centroids[(cluster, tier)] = tuple(rl.eval_cubic(model, b) for b in grid.bitrates)
+    model_set = rl.ClusterModelSet(k=k, grid=grid, tiers=tuple(tiers), centroids=centroids,
+                                   models=models, seed=0, provenance="dyadic")
+    return model_set, crossings
+
+
+BAD_POINTS = st.one_of(
+    st.tuples(st.sampled_from([0.0, -1.0, float("nan"), float("inf")]), st.floats(10.0, 70.0)),
+    st.tuples(st.floats(0.05, 12.0), st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+)
+
+
+@st.composite
+def gop_batches(draw):
+    """A model and a batch of GOPs over it: mixed tiers, 1 to 6 points,
+    points on exact residual ties, and invalid GOPs (no points, a
+    non-finite value, a bitrate <= 0, a tier the model lacks)."""
+    model_set, crossings = draw(dyadic_model_sets())
+    absent = [t for t in rl.STANDARD_TIERS if t not in model_set.tiers]
+    absent.append(rl.tier_from_name("1440p"))
+    observations = []
+    for index in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "free", "tie", "tie", "invalid"]))
+        tier = draw(st.sampled_from(model_set.tiers))
+        count = draw(st.integers(1, 6))
+        if kind == "tie" and tier in crossings:
+            _, upper, x, y = draw(st.sampled_from(crossings[tier]))
+            curve = model_set.model(upper, tier)
+            points = [
+                (r, rl.eval_cubic(curve, r) + draw(st.integers(-32, 32)) / 16)
+                for r in (draw(st.sampled_from((x, y))) for _ in range(count))
+            ]
+        else:
+            points = [
+                (draw(st.floats(0.05, 12.0)), draw(st.floats(10.0, 70.0))) for _ in range(count)
+            ]
+        if kind == "invalid":
+            fault = draw(st.sampled_from(["point", "point", "empty", "tier"]))
+            if fault == "point":
+                points.insert(draw(st.integers(0, len(points))), draw(BAD_POINTS))
+            elif fault == "empty":
+                points = []
+            else:
+                tier = draw(st.sampled_from(absent))
+        observations.append(rl.GopObservation(f"g{index}", tier, tuple(points)))
+    return model_set, observations
+
+
+def decision_fields(result):
+    """What the batch path must reproduce exactly: everything but the
+    rationale, whose RMS figure the reference computes with ``** 2``."""
+    if isinstance(result, rl.GopError):
+        return result
+    return (result.gop_id, result.cluster, result.tier, result.target_bitrate,
+            result.proposed_bitrate, result.predicted_psnr, result.modes_applied)
+
+
+class TestAdvise:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        batch=gop_batches(),
+        target=st.one_of(st.floats(0.1, 8.0), st.sampled_from([0.0, -1.0, float("nan")])),
+        modes=st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any),
+    )
+    def test_matches_scalar_reference(self, batch, target, modes):
+        model_set, observations = batch
+        cfg = rl.DecisionConfig()
+        modes = rl.Modes(*modes)
+        got = rl.DecisionTables(model_set, cfg).advise(observations, target, modes)
+        want = scalar_advise(observations, model_set, cfg, modes, target)
+        assert list(map(decision_fields, got.results)) == list(map(decision_fields, want.results))
+        assert got.savings == want.savings
+
+    def test_exact_residual_tie_goes_to_lower_cluster(self):
+        base = rl.CubicRD(30.0, 4.0, -0.5, 0.03125, valid_range=(0.2, 6.0))
+        # Cluster 2 = cluster 1 + (R - 1)(R - 3): the curves meet exactly at 1 and 3.
+        crossing = rl.CubicRD(33.0, 0.0, 0.5, 0.03125, valid_range=(0.2, 6.0))
+        far = rl.CubicRD(60.0, 0.0, 0.0, 0.0, valid_range=(0.2, 6.0))
+        grid = rl.BitrateGrid.default()
+        models = {(1, T1080): base, (2, T1080): crossing, (3, T1080): far}
+        centroids = {key: (40.0,) * len(grid) for key in models}
+        model_set = rl.ClusterModelSet(k=3, grid=grid, tiers=(T1080,), centroids=centroids,
+                                       models=models, seed=0, provenance="tie")
+        q1, q3 = rl.eval_cubic(base, 1.0), rl.eval_cubic(base, 3.0)
+        assert (q1, q3) == (rl.eval_cubic(crossing, 1.0), rl.eval_cubic(crossing, 3.0))
+        obs = rl.GopObservation("g", T1080, ((1.0, q1 + 0.5), (3.0, q3 - 0.25)))
+        (assignment,) = rl.DecisionTables(model_set, rl.DecisionConfig()).assign([obs])
+        assert assignment.cluster == 1
+
+
 class TestSavings:
-    def test_reference_vl_scenarios(self, paper_model, cfg):
-        thresholds = rl.vl_thresholds(paper_model, cfg)
+    def test_reference_vl_scenarios(self, tables):
+        thresholds = tables.vl
         groups = {}
         scenarios = {
             "Test_2": ((6, 6, 6, 6, 6, 4, 1, 1, 1, 1), 3.0),
@@ -333,8 +456,8 @@ class TestSavings:
         assert by_video["Test_10"].total_proposed == pytest.approx(16.88, abs=0.05)
         assert by_video["Test_10"].saving_percent == pytest.approx(43.73, abs=0.1)
 
-    def test_reference_nzs_scenario(self, paper_model, cfg):
-        intervals = rl.nzs_intervals(paper_model, cfg)
+    def test_reference_nzs_scenario(self, tables):
+        intervals = tables.nzs
         rows = [
             (4.575, rl.recommend_bitrate_nzs(6, T1080, 4.575, intervals)) for _ in range(10)
         ]
@@ -385,12 +508,12 @@ def permuted_model_set(model_set, permutation):
 
 def test_label_permutation_leaves_recommendations_unchanged(paper_model, cfg):
     permutation = {1: 4, 2: 6, 3: 1, 4: 5, 5: 3, 6: 2}
-    shuffled = permuted_model_set(paper_model, permutation)
+    shuffled = rl.DecisionTables(permuted_model_set(paper_model, permutation), cfg)
     modes = rl.Modes(trans_size=True, vl=True, nzs=True)
-    for cluster in paper_model.clusters:
-        obs = on_curve_observation(paper_model, cluster, T1080)
-        original = rl.recommend(obs, paper_model, cfg, modes, 3.0)
-        renamed = rl.recommend(obs, shuffled, cfg, modes, 3.0)
+    observations = [on_curve_observation(paper_model, c, T1080) for c in paper_model.clusters]
+    originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes).results
+    renamed_all = shuffled.advise(observations, 3.0, modes).results
+    for original, renamed in zip(originals, renamed_all):
         assert renamed.cluster == permutation[original.cluster]
         assert renamed.tier == original.tier
         assert renamed.proposed_bitrate == original.proposed_bitrate

@@ -100,7 +100,7 @@ class TestParse:
         second = rl.parse_measurements(rl.format_measurements(first))
         assert first.samples == second.samples
 
-    def test_grid_aligned_file_resamples_to_identity_and_assigns(self, paper_model, t1080):
+    def test_grid_aligned_file_resamples_to_identity_and_assigns(self, paper_model, tables, t1080):
         model = paper_model.model(4, t1080)
         grid = paper_model.grid
         rows = [MEASUREMENT_HEADER] + [
@@ -112,9 +112,8 @@ class TestParse:
         assert vec.psnr == pytest.approx(
             [rl.eval_cubic(model, b) for b in grid.bitrates], abs=1e-12
         )
-        assignment = rl.assign_cluster_multi(
-            [(s.bitrate, s.psnr) for s in samples], paper_model, t1080
-        )
+        obs = rl.GopObservation("g", t1080, tuple((s.bitrate, s.psnr) for s in samples))
+        (assignment,) = tables.assign([obs])
         assert assignment.cluster == 4
 
 

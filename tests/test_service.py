@@ -29,51 +29,63 @@ def request_payload(model_set, clusters=(6,), target=3.0, modes=("vl",)):
 
 
 class TestHandleRequest:
-    def test_happy_path(self, paper_model, cfg):
-        status, body = handle_recommend_request(
-            request_payload(paper_model, clusters=(6,)), paper_model, cfg
-        )
+    def test_happy_path(self, paper_model, tables):
+        status, body = handle_recommend_request(request_payload(paper_model, clusters=(6,)), tables)
         assert status == 200
         rec = body["recommendations"][0]
         assert rec["cluster"] == 6
         assert rec["proposed_bitrate"] == pytest.approx(0.429, abs=0.005)
         assert body["savings"]["saving_percent"] > 0
 
-    def test_zero_gops_rejected(self, paper_model, cfg):
+    def test_zero_gops_rejected(self, paper_model, tables):
         payload = request_payload(paper_model)
         payload["gops"] = []
-        status, body = handle_recommend_request(payload, paper_model, cfg)
+        status, body = handle_recommend_request(payload, tables)
         assert status == 400 and "gops" in body["error"]
 
-    def test_bad_modes_rejected(self, paper_model, cfg):
+    def test_bad_modes_rejected(self, paper_model, tables):
         payload = request_payload(paper_model, modes=("warp",))
-        status, body = handle_recommend_request(payload, paper_model, cfg)
+        status, body = handle_recommend_request(payload, tables)
         assert status == 400 and "warp" in body["error"]
         payload = request_payload(paper_model, modes=())
-        status, body = handle_recommend_request(payload, paper_model, cfg)
+        status, body = handle_recommend_request(payload, tables)
         assert status == 400
 
-    def test_bad_target_rejected(self, paper_model, cfg):
+    def test_bad_target_rejected(self, paper_model, tables):
         payload = request_payload(paper_model, target=-1.0)
-        status, _ = handle_recommend_request(payload, paper_model, cfg)
+        status, _ = handle_recommend_request(payload, tables)
         assert status == 400
         payload["target_bitrate"] = "three"
-        status, _ = handle_recommend_request(payload, paper_model, cfg)
+        status, _ = handle_recommend_request(payload, tables)
         assert status == 400
 
-    def test_per_gop_error_does_not_abort_batch(self, paper_model, cfg):
+    def test_per_gop_error_does_not_abort_batch(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(6, 5))
         payload["gops"][1]["tier"] = "1440p"  # not in the model
-        status, body = handle_recommend_request(payload, paper_model, cfg)
+        status, body = handle_recommend_request(payload, tables)
         assert status == 200
         first, second = body["recommendations"]
         assert first["cluster"] == 6
         assert "error" in second and second["gop_id"] == "g1"
         assert body["savings"]["total_target"] == pytest.approx(3.0)
 
-    def test_response_order_matches_request(self, paper_model, cfg):
+    def test_no_answered_gop_gives_null_savings(self, paper_model, tables):
+        payload = request_payload(paper_model, clusters=(6, 5))
+        payload["gops"][0]["points"] = "none"
+        payload["gops"][1]["points"][0][0] = -1.0
+        status, body = handle_recommend_request(payload, tables)
+        assert status == 200
+        assert body == {
+            "recommendations": [
+                {"gop_id": "g0", "error": "gops[0]: points must be a non-empty list"},
+                {"gop_id": "g1", "error": "bitrate must be finite and > 0, got -1.0"},
+            ],
+            "savings": None,
+        }
+
+    def test_response_order_matches_request(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(5, 6, 1))
-        status, body = handle_recommend_request(payload, paper_model, cfg)
+        status, body = handle_recommend_request(payload, tables)
         assert status == 200
         assert [r["gop_id"] for r in body["recommendations"]] == ["g0", "g1", "g2"]
         assert [r["cluster"] for r in body["recommendations"]] == [5, 6, 1]

@@ -13,10 +13,9 @@ from .clustering import (
     ClusterModelSet,
     GopAssignment,
     KMeansResult,
-    RDVector,
+    TierVectors,
     kmeans,
     resample_to_grid,
-    train,
     train_details,
 )
 from .decision import (
@@ -54,7 +53,6 @@ from .errors import (
 )
 from .ingest import (
     MeasurementSet,
-    RDSample,
     builtin_model,
     format_measurements,
     load_model,

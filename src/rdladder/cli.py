@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,17 +63,20 @@ def _decision_config(args) -> DecisionConfig:
 
 
 def _observations(mset, model_set):
-    """One observation per GOP, taken at the highest tier it was measured
-    at that the model also knows."""
+    """One observation per GOP, in the order GOPs first appear, taken at
+    the highest tier it was measured at that the model also knows."""
+    best: dict[str, int | None] = {}  # gop_id -> group of that tier
+    for g, (gop_id, tier) in enumerate(mset.groups):
+        current = best.setdefault(gop_id, None)
+        if model_set.has_tier(tier) and (current is None or tier > mset.groups[current][1]):
+            best[gop_id] = g
     obs = []
-    for gop_id in mset.gop_ids():
-        tiers = [t for t in mset.tiers_for(gop_id) if model_set.has_tier(t)]
-        if not tiers:
+    for gop_id, g in best.items():
+        if g is None:
             raise ValidationError(f"gop {gop_id!r}: no measured tier is present in the model")
-        tier = max(tiers)
-        samples = mset.samples[(gop_id, tier)]
-        points = tuple((s.bitrate, s.psnr) for s in samples)
-        obs.append(GopObservation(gop_id=gop_id, tier=tier, points=points))
+        bitrates, psnr = mset.rows(g)
+        points = tuple(zip(bitrates.tolist(), psnr.tolist()))
+        obs.append(GopObservation(gop_id=gop_id, tier=mset.groups[g][1], points=points))
     return obs
 
 
@@ -80,11 +84,9 @@ def cmd_train(args) -> int:
     text = Path(args.measurements).read_text(encoding="utf-8")
     mset = parse_measurements(text, source=args.measurements)
     grid = _parse_grid(args.grid) if args.grid else BitrateGrid.default()
-
-    by_tier: dict = {}
-    for (gop_id, tier), samples in mset.groups():
-        by_tier.setdefault(tier, []).append(resample_to_grid(samples, grid))
-    model_set, kmeans_results = train_details(by_tier, grid, k=args.k, seed=args.seed)
+    model_set, kmeans_results = train_details(
+        resample_to_grid(mset, grid), grid, k=args.k, seed=args.seed
+    )
 
     Path(args.out).write_text(save_model(model_set), encoding="utf-8")
     for tier in model_set.tiers:
@@ -115,6 +117,8 @@ def cmd_recommend(args) -> int:
     modes = Modes.parse(args.modes)
     if not modes.any_enabled:
         raise ValidationError("at least one mode must be enabled (--modes)")
+    if not (math.isfinite(args.target_bitrate) and args.target_bitrate > 0):
+        raise ValidationError("target bitrate must be finite and > 0")
     text = Path(args.measurements).read_text(encoding="utf-8")
     mset = parse_measurements(text, source=args.measurements)
     if len(mset) == 0:

@@ -11,13 +11,16 @@ K-means labels are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import ConflictError, CoverageError, InsufficientDataError, ValidationError
+from .errors import CoverageError, InsufficientDataError, ValidationError
 from .rd_model import CubicRD, fit_polynomial
 from .tiers import ResolutionTier
+
+if TYPE_CHECKING:  # ingest imports this module
+    from .ingest import MeasurementSet
 
 KMEANS_MAX_ITER = 300
 KMEANS_DISPLACEMENT_TOL = 1e-6  # dB; max centroid movement at convergence
@@ -59,62 +62,67 @@ class BitrateGrid:
         return len(self.bitrates)
 
 
-@dataclass(frozen=True)
-class RDVector:
-    """One GOP's PSNR values on a bitrate grid, at one resolution tier."""
+@dataclass(frozen=True, eq=False)
+class TierVectors:
+    """PSNR vectors of GOPs at one resolution tier, on one bitrate grid:
+    row ``i`` of ``psnr`` belongs to GOP ``gop_ids[i]``."""
 
-    gop_id: str
     tier: ResolutionTier
-    psnr: tuple[float, ...]
+    gop_ids: tuple[str, ...]
+    psnr: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.psnr, dtype=float)
-        if arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise ValidationError(f"gop {self.gop_id!r}: PSNR vector must be finite and non-empty")
-        if np.any(arr <= 0) or np.any(arr > 100):
-            raise ValidationError(f"gop {self.gop_id!r}: PSNR values must be in (0, 100] dB")
+        psnr = np.asarray(self.psnr, dtype=float)
+        object.__setattr__(self, "psnr", psnr)
+        if psnr.ndim != 2 or len(psnr) != len(self.gop_ids):
+            raise ValidationError("PSNR vectors must form a matrix with one row per GOP")
+        finite = np.isfinite(psnr).all(axis=1) & (psnr.shape[1] > 0)
+        in_range = ((psnr > 0) & (psnr <= 100)).all(axis=1)
+        bad = np.flatnonzero(~(finite & in_range))
+        if bad.size:
+            gop_id = self.gop_ids[bad[0]]
+            if not finite[bad[0]]:
+                raise ValidationError(f"gop {gop_id!r}: PSNR vector must be finite and non-empty")
+            raise ValidationError(f"gop {gop_id!r}: PSNR values must be in (0, 100] dB")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.psnr, dtype=float)
+    def __len__(self) -> int:
+        return len(self.gop_ids)
 
 
-def resample_to_grid(samples: Sequence, grid: BitrateGrid) -> RDVector:
-    """Piecewise-linear resampling of one GOP x tier's measurements onto
-    ``grid``. ``samples`` are measurement records with ``gop_id``, ``tier``,
-    ``bitrate`` and ``psnr`` attributes, all for the same GOP and tier.
+def resample_to_grid(
+    mset: MeasurementSet, grid: BitrateGrid
+) -> dict[ResolutionTier, TierVectors]:
+    """Piecewise-linear resampling of every (gop, tier) group of ``mset``
+    onto ``grid``. Returns one matrix per tier, with a row per GOP in the
+    order its group first appears in the measurements.
 
-    Never extrapolates: the samples must span the whole grid.
+    Never extrapolates: every group's samples must span the whole grid.
     """
-    if len(samples) < 2:
-        raise InsufficientDataError("resampling needs at least 2 samples")
-    gop_id = samples[0].gop_id
-    tier = samples[0].tier
-    if any(s.gop_id != gop_id or s.tier != tier for s in samples):
-        raise ValidationError("resample_to_grid expects samples for a single gop and tier")
-
-    by_bitrate: dict[float, float] = {}
-    for s in samples:
-        prev = by_bitrate.get(s.bitrate)
-        if prev is not None and prev != s.psnr:
-            raise ConflictError(
-                f"gop {gop_id!r}: duplicate bitrate {s.bitrate} Mbps with differing PSNR "
-                f"({prev} vs {s.psnr})"
-            )
-        by_bitrate[s.bitrate] = s.psnr
-    if len(by_bitrate) < 2:
-        raise InsufficientDataError("resampling needs at least 2 distinct bitrates")
-
-    rs = np.asarray(sorted(by_bitrate), dtype=float)
-    qs = np.asarray([by_bitrate[r] for r in rs], dtype=float)
     gx = grid.as_array()
-    for g in gx:
-        if g < rs[0] or g > rs[-1]:
-            raise CoverageError(
-                f"gop {gop_id!r}: grid bitrate {g:g} Mbps outside measured span "
-                f"[{rs[0]:g}, {rs[-1]:g}]"
-            )
-    interp = np.interp(gx, rs, qs)
-    return RDVector(gop_id=gop_id, tier=tier, psnr=tuple(float(v) for v in interp))
+    starts, ends = mset.offsets[:-1], mset.offsets[1:]
+    few = ends - starts < 2
+    lo, hi = mset.bitrates[starts], mset.bitrates[ends - 1]
+    bad = np.flatnonzero(few | (lo > gx[0]) | (hi < gx[-1]))
+    if bad.size:
+        g = bad[0]
+        if few[g]:
+            raise InsufficientDataError("resampling needs at least 2 samples")
+        outside = gx[0] if gx[0] < lo[g] else gx[gx > hi[g]][0]
+        raise CoverageError(
+            f"gop {mset.groups[g][0]!r}: grid bitrate {outside:g} Mbps outside measured span "
+            f"[{lo[g]:g}, {hi[g]:g}]"
+        )
+
+    members: dict[ResolutionTier, list[int]] = {}
+    for g, (_, tier) in enumerate(mset.groups):
+        members.setdefault(tier, []).append(g)
+    out = {}
+    for tier, rows in members.items():
+        psnr = np.empty((len(rows), len(gx)))
+        for i, g in enumerate(rows):
+            psnr[i] = np.interp(gx, *mset.rows(g))
+        out[tier] = TierVectors(tier, tuple(mset.groups[g][0] for g in rows), psnr)
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,12 +157,13 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def kmeans(
-    vectors: Sequence[RDVector],
+    vectors: np.ndarray,
     k: int,
     seed: int = 42,
     init_centroids: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Deterministic K-means over PSNR vectors sharing one tier.
+    """Deterministic K-means over the rows of a [vectors, grid] PSNR
+    matrix, such as one tier's ``TierVectors.psnr``.
 
     k-means++ seeding from ``seed``, Lloyd iterations, Euclidean distance.
     Converges when the largest centroid displacement drops below
@@ -163,16 +172,12 @@ def kmeans(
     from its currently assigned centroid. ``init_centroids`` overrides the
     k-means++ seeding (useful for reproducing specific runs).
     """
-    if len(vectors) < k:
-        raise InsufficientDataError(f"k-means needs at least k={k} vectors, got {len(vectors)}")
-    dims = {len(v.psnr) for v in vectors}
-    if len(dims) != 1:
-        raise ValidationError("all vectors must share one grid length")
-    tiers = {v.tier for v in vectors}
-    if len(tiers) != 1:
-        raise ValidationError("all vectors must share one resolution tier")
+    x = np.asarray(vectors, dtype=float)
+    if x.ndim != 2:
+        raise ValidationError("k-means expects a [vectors, grid] matrix")
+    if len(x) < k:
+        raise InsufficientDataError(f"k-means needs at least k={k} vectors, got {len(x)}")
 
-    x = np.stack([v.as_array() for v in vectors])
     rng = np.random.default_rng(seed)
     if init_centroids is not None:
         centers = np.array(init_centroids, dtype=float, copy=True)
@@ -182,7 +187,7 @@ def kmeans(
         centers = _kmeanspp_init(x, k, rng)
 
     history: list[float] = []
-    labels = np.zeros(len(vectors), dtype=int)
+    labels = np.zeros(len(x), dtype=int)
     for iteration in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(x, centers)
         labels = d2.argmin(axis=1)
@@ -292,52 +297,39 @@ def _greedy_match(
     return mapping
 
 
-def train(
-    vectors_by_tier: Mapping[ResolutionTier, Sequence[RDVector]],
+def train_details(
+    vectors_by_tier: Mapping[ResolutionTier, TierVectors],
     grid: BitrateGrid,
     k: int = 6,
     seed: int = 42,
-) -> ClusterModelSet:
+) -> tuple[ClusterModelSet, dict[ResolutionTier, KMeansResult]]:
     """Cluster each tier independently, fit a cubic per centroid, and
-    assemble the full model.
+    assemble the full model. Also returns the per-tier K-means results,
+    for callers that report inertia or convergence diagnostics.
 
     The highest tier is the reference: its clusters are numbered 1..k by
     ascending mean centroid PSNR, and every other tier's clusters are
     matched to reference clusters greedily by shared GOP membership (mean
     PSNR distance as tie-break/fallback).
     """
-    model_set, _ = train_details(vectors_by_tier, grid, k=k, seed=seed)
-    return model_set
-
-
-def train_details(
-    vectors_by_tier: Mapping[ResolutionTier, Sequence[RDVector]],
-    grid: BitrateGrid,
-    k: int = 6,
-    seed: int = 42,
-) -> tuple[ClusterModelSet, dict[ResolutionTier, KMeansResult]]:
-    """Like ``train`` but also returns the per-tier K-means results, for
-    callers that report inertia or convergence diagnostics."""
     if not vectors_by_tier:
         raise InsufficientDataError("no training vectors")
     tiers = tuple(sorted(vectors_by_tier))
     for tier in tiers:
-        if len(vectors_by_tier[tier]) < k:
-            raise InsufficientDataError(
-                f"tier {tier}: {len(vectors_by_tier[tier])} vectors < k={k}"
-            )
-        for v in vectors_by_tier[tier]:
-            if len(v.psnr) != len(grid):
-                raise ValidationError(f"gop {v.gop_id!r}: vector length does not match grid")
-            if v.tier != tier:
-                raise ValidationError(f"gop {v.gop_id!r}: tier mismatch in training groups")
+        vectors = vectors_by_tier[tier]
+        if len(vectors) < k:
+            raise InsufficientDataError(f"tier {tier}: {len(vectors)} vectors < k={k}")
+        if vectors.psnr.shape[1] != len(grid):
+            raise ValidationError(f"gop {vectors.gop_ids[0]!r}: vector length does not match grid")
+        if vectors.tier != tier:
+            raise ValidationError(f"gop {vectors.gop_ids[0]!r}: tier mismatch in training groups")
 
-    results = {tier: kmeans(vectors_by_tier[tier], k, seed) for tier in tiers}
+    results = {tier: kmeans(vectors_by_tier[tier].psnr, k, seed) for tier in tiers}
 
     def member_sets(tier: ResolutionTier) -> list[set]:
         sets: list[set] = [set() for _ in range(k)]
-        for vec, label in zip(vectors_by_tier[tier], results[tier].labels):
-            sets[label].add(vec.gop_id)
+        for gop_id, label in zip(vectors_by_tier[tier].gop_ids, results[tier].labels):
+            sets[label].add(gop_id)
         return sets
 
     ref = max(tiers)

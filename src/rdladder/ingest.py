@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .clustering import BitrateGrid, ClusterModelSet
 from .errors import ConflictError, ParseError, SchemaVersionError, ValidationError
@@ -24,99 +26,114 @@ MODEL_SCHEMA_VERSION = "1"
 BUILTIN_PROVENANCE = "paper-table-2"
 
 
-@dataclass(frozen=True)
-class RDSample:
-    """One measured (GOP, resolution, bitrate, PSNR) observation."""
-
-    gop_id: str
-    tier: ResolutionTier
-    bitrate: float
-    psnr: float
-
-    def __post_init__(self):
-        if not self.gop_id:
-            raise ValidationError("gop_id must be non-empty")
-        if not (math.isfinite(self.bitrate) and self.bitrate > 0):
-            raise ValidationError(f"gop {self.gop_id!r}: bitrate must be finite and > 0")
-        if not (math.isfinite(self.psnr) and 0 < self.psnr <= 100):
-            raise ValidationError(f"gop {self.gop_id!r}: psnr must be in (0, 100] dB")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Validated samples grouped per (gop, tier), sorted by bitrate."""
+    """Validated measurements as flat columns.
 
-    samples: dict[tuple[str, ResolutionTier], tuple[RDSample, ...]]
+    A group is one (gop, tier) pair: ``groups[g]`` names group ``g``, and
+    groups are numbered in the order they first appear in the file. Rows
+    are sorted by group, then by bitrate, one row per distinct bitrate;
+    group ``g`` owns rows ``offsets[g]:offsets[g + 1]``.
+    """
+
+    groups: tuple[tuple[str, ResolutionTier], ...]
+    offsets: np.ndarray
+    bitrates: np.ndarray
+    psnr: np.ndarray
     source: str = ""
 
-    def groups(self) -> Iterator[tuple[tuple[str, ResolutionTier], tuple[RDSample, ...]]]:
-        return iter(self.samples.items())
-
-    def gop_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for gop_id, _ in self.samples:
-            seen.setdefault(gop_id)
-        return list(seen)
-
-    def tiers_for(self, gop_id: str) -> list[ResolutionTier]:
-        return sorted(t for g, t in self.samples if g == gop_id)
+    def rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
+        """One group's bitrates and PSNR values, ascending by bitrate."""
+        lo, hi = self.offsets[group], self.offsets[group + 1]
+        return self.bitrates[lo:hi], self.psnr[lo:hi]
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self.samples.values())
+        return len(self.bitrates)
 
 
 def parse_measurements(text: str, source: str = "") -> MeasurementSet:
     """Parse and validate a measurement CSV. Every failure names the
-    offending 1-based line; nothing is dropped silently (exact duplicate
-    rows collapse, contradictory ones are an error)."""
-    lines = text.splitlines()
-    rows: list[tuple[int, str]] = [
-        (i, line.strip())
-        for i, line in enumerate(lines, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
+    offending 1-based line, and of several faults the first in file order
+    is reported; nothing is dropped silently (exact duplicate rows
+    collapse, contradictory ones are an error)."""
+    groups: dict[tuple[str, str], int] = {}
+    tiers: dict[str, ResolutionTier] = {}
+    # Rows stream into flat typed columns; holding every split row at
+    # once would cost several times the file's size in memory.
+    group_col, line_col = array("q"), array("q")
+    bitrate_col, psnr_col = array("d"), array("d")
+    header_line = 0
+    fault: ValidationError | None = None
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
+            if not header_line:
+                if line != MEASUREMENT_HEADER:
+                    raise ParseError(
+                        f"line {lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}"
+                    )
+                header_line = lineno
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ParseError(
+                    f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}"
+                )
+            gop_id, resolution, bitrate_s, psnr_s = map(str.strip, parts)
+            try:
+                if resolution not in tiers:
+                    tiers[resolution] = tier_from_name(resolution)
+                bitrate = float(bitrate_s)
+                psnr = float(psnr_s)
+            except (ValueError, ValidationError) as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            if not gop_id:
+                raise ValidationError(f"line {lineno}: gop_id must be non-empty")
+            if not 0 < bitrate < math.inf:
+                raise ValidationError(
+                    f"line {lineno}: gop {gop_id!r}: bitrate must be finite and > 0"
+                )
+            if not 0 < psnr <= 100:
+                raise ValidationError(f"line {lineno}: gop {gop_id!r}: psnr must be in (0, 100] dB")
+            group_col.append(groups.setdefault((gop_id, resolution), len(groups)))
+            line_col.append(lineno)
+            bitrate_col.append(bitrate)
+            psnr_col.append(psnr)
+    except ValidationError as exc:
+        fault = exc  # raised below, unless an earlier row conflicts
+    if fault is None and not header_line:
         raise ParseError(f"{source or 'measurements'}: empty file (no header)")
-    header_line, header = rows[0]
-    if header != MEASUREMENT_HEADER:
-        raise ParseError(
-            f"line {header_line}: expected header {MEASUREMENT_HEADER!r}, got {header!r}"
-        )
 
-    grouped: dict[tuple[str, ResolutionTier], dict[float, tuple[float, int]]] = {}
-    for lineno, line in rows[1:]:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
-        gop_id, resolution, bitrate_s, psnr_s = parts
-        try:
-            tier = tier_from_name(resolution)
-            bitrate = float(bitrate_s)
-            psnr = float(psnr_s)
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        try:
-            sample = RDSample(gop_id=gop_id, tier=tier, bitrate=bitrate, psnr=psnr)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        key = (sample.gop_id, sample.tier)
-        bucket = grouped.setdefault(key, {})
-        prev = bucket.get(sample.bitrate)
-        if prev is not None and prev[0] != sample.psnr:
-            raise ConflictError(
-                f"line {lineno}: gop {gop_id!r} at {resolution} {bitrate:g} Mbps already has "
-                f"psnr {prev[0]:g} from line {prev[1]} (got {psnr:g})"
-            )
-        bucket[sample.bitrate] = (sample.psnr, lineno)
-
-    samples = {
-        key: tuple(
-            RDSample(gop_id=key[0], tier=key[1], bitrate=bitrate, psnr=bucket[bitrate][0])
-            for bitrate in sorted(bucket)
+    keys = tuple((gop_id, tiers[resolution]) for gop_id, resolution in groups)
+    group = np.frombuffer(group_col, dtype=np.int64)
+    bitrates = np.frombuffer(bitrate_col, dtype=float)
+    # lexsort is stable, so rows with one (group, bitrate) stay in file order.
+    order = np.lexsort((bitrates, group))
+    group, bitrates = group[order], bitrates[order]
+    psnr = np.frombuffer(psnr_col, dtype=float)[order]
+    lines = np.frombuffer(line_col, dtype=np.int64)[order]
+    repeat = (group[1:] == group[:-1]) & (bitrates[1:] == bitrates[:-1])
+    clashes = np.flatnonzero(repeat & (psnr[1:] != psnr[:-1])) + 1
+    if clashes.size:
+        i = clashes[lines[clashes].argmin()]
+        gop_id, tier = keys[group[i]]
+        raise ConflictError(
+            f"line {lines[i]}: gop {gop_id!r} at {tier.name} {bitrates[i]:g} Mbps already has "
+            f"psnr {psnr[i - 1]:g} from line {lines[i - 1]} (got {psnr[i]:g})"
         )
-        for key, bucket in grouped.items()
-    }
-    return MeasurementSet(samples=samples, source=source)
+    if fault is not None:
+        raise fault
+    keep = np.ones(len(group), dtype=bool)
+    keep[1:] = ~repeat
+    return MeasurementSet(
+        groups=keys,
+        offsets=np.searchsorted(group[keep], np.arange(len(keys) + 1)),
+        bitrates=bitrates[keep],
+        psnr=psnr[keep],
+        source=source,
+    )
 
 
 def format_measurements(mset: MeasurementSet) -> str:
@@ -124,9 +141,11 @@ def format_measurements(mset: MeasurementSet) -> str:
     Values keep full float fidelity (repr), so parse -> format -> parse is
     lossless."""
     out = [MEASUREMENT_HEADER]
-    for (gop_id, tier), samples in sorted(mset.samples.items()):
-        for s in samples:
-            out.append(f"{gop_id},{tier.name},{s.bitrate!r},{s.psnr!r}")
+    for g in sorted(range(len(mset.groups)), key=mset.groups.__getitem__):
+        gop_id, tier = mset.groups[g]
+        bitrates, psnr = mset.rows(g)
+        for bitrate, q in zip(bitrates.tolist(), psnr.tolist()):
+            out.append(f"{gop_id},{tier.name},{bitrate!r},{q!r}")
     return "\n".join(out) + "\n"
 
 

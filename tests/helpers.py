@@ -8,11 +8,20 @@ with the code under test.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import rdladder as rl
-from rdladder.errors import RDLadderError, ValidationError
+from rdladder.errors import (
+    ConflictError,
+    CoverageError,
+    InsufficientDataError,
+    ParseError,
+    RDLadderError,
+    ValidationError,
+)
+from rdladder.ingest import MEASUREMENT_HEADER
 
 
 def bisection_roots(coeffs_desc, lo: float, hi: float, step: float = 1e-4,
@@ -69,19 +78,124 @@ def measurement_csv(gop_clusters, tiers, bitrates, model_set=None, noise=None,
 
 
 def grouped_vectors(gop_clusters, tiers, grid, model_set=None, noise=None, rng=None):
-    """RDVectors per tier drawn from the given clusters' centroid curves."""
+    """TierVectors per tier drawn from the given clusters' centroid curves."""
     model_set = model_set or rl.builtin_model()
     by_tier = {}
     for tier in tiers:
-        vectors = []
-        for index, cluster in enumerate(gop_clusters):
+        rows = []
+        for cluster in gop_clusters:
             model = model_set.model(cluster, tier)
             psnr = [rl.eval_cubic(model, b) for b in grid.bitrates]
             if noise:
                 psnr = [q + rng.uniform(-noise, noise) for q in psnr]
-            vectors.append(rl.RDVector(gop_id=f"gop{index:03d}", tier=tier, psnr=tuple(psnr)))
-        by_tier[tier] = vectors
+            rows.append(psnr)
+        gop_ids = tuple(f"gop{index:03d}" for index in range(len(gop_clusters)))
+        by_tier[tier] = rl.TierVectors(tier, gop_ids, np.array(rows))
     return by_tier
+
+
+@dataclass(frozen=True)
+class RDSample:
+    """Reference record: one measured (GOP, resolution, bitrate, PSNR)
+    observation, validated on construction."""
+
+    gop_id: str
+    tier: rl.ResolutionTier
+    bitrate: float
+    psnr: float
+
+    def __post_init__(self):
+        if not self.gop_id:
+            raise ValidationError("gop_id must be non-empty")
+        if not (math.isfinite(self.bitrate) and self.bitrate > 0):
+            raise ValidationError(f"gop {self.gop_id!r}: bitrate must be finite and > 0")
+        if not (math.isfinite(self.psnr) and 0 < self.psnr <= 100):
+            raise ValidationError(f"gop {self.gop_id!r}: psnr must be in (0, 100] dB")
+
+
+def reference_parse(text: str, source: str = "") -> dict:
+    """Reference measurement parser, one RDSample per row: returns
+    {(gop_id, tier): samples sorted by bitrate}, groups in order of first
+    appearance, and raises what ``parse_measurements`` must raise."""
+    rows = [
+        (i, line.strip())
+        for i, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not rows:
+        raise ParseError(f"{source or 'measurements'}: empty file (no header)")
+    header_line, header = rows[0]
+    if header != MEASUREMENT_HEADER:
+        raise ParseError(
+            f"line {header_line}: expected header {MEASUREMENT_HEADER!r}, got {header!r}"
+        )
+
+    grouped: dict = {}
+    for lineno, line in rows[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
+        gop_id, resolution, bitrate_s, psnr_s = parts
+        try:
+            tier = rl.tier_from_name(resolution)
+            bitrate = float(bitrate_s)
+            psnr = float(psnr_s)
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        try:
+            sample = RDSample(gop_id=gop_id, tier=tier, bitrate=bitrate, psnr=psnr)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        bucket = grouped.setdefault((sample.gop_id, sample.tier), {})
+        prev = bucket.get(sample.bitrate)
+        if prev is not None and prev[0] != sample.psnr:
+            raise ConflictError(
+                f"line {lineno}: gop {gop_id!r} at {resolution} {bitrate:g} Mbps already has "
+                f"psnr {prev[0]:g} from line {prev[1]} (got {psnr:g})"
+            )
+        bucket[sample.bitrate] = (sample.psnr, lineno)
+
+    return {
+        key: tuple(
+            RDSample(gop_id=key[0], tier=key[1], bitrate=bitrate, psnr=bucket[bitrate][0])
+            for bitrate in sorted(bucket)
+        )
+        for key, bucket in grouped.items()
+    }
+
+
+def reference_resample(samples, grid) -> np.ndarray:
+    """Reference piecewise-linear resampling of one GOP x tier's samples
+    onto ``grid``; never extrapolates."""
+    if len(samples) < 2:
+        raise InsufficientDataError("resampling needs at least 2 samples")
+    gop_id = samples[0].gop_id
+    tier = samples[0].tier
+    if any(s.gop_id != gop_id or s.tier != tier for s in samples):
+        raise ValidationError("resample_to_grid expects samples for a single gop and tier")
+
+    by_bitrate: dict[float, float] = {}
+    for s in samples:
+        prev = by_bitrate.get(s.bitrate)
+        if prev is not None and prev != s.psnr:
+            raise ConflictError(
+                f"gop {gop_id!r}: duplicate bitrate {s.bitrate} Mbps with differing PSNR "
+                f"({prev} vs {s.psnr})"
+            )
+        by_bitrate[s.bitrate] = s.psnr
+    if len(by_bitrate) < 2:
+        raise InsufficientDataError("resampling needs at least 2 distinct bitrates")
+
+    rs = np.asarray(sorted(by_bitrate), dtype=float)
+    qs = np.asarray([by_bitrate[r] for r in rs], dtype=float)
+    gx = grid.as_array()
+    for g in gx:
+        if g < rs[0] or g > rs[-1]:
+            raise CoverageError(
+                f"gop {gop_id!r}: grid bitrate {g:g} Mbps outside measured span "
+                f"[{rs[0]:g}, {rs[-1]:g}]"
+            )
+    return np.interp(gx, rs, qs)
 
 
 def random_cubics(count: int, seed: int) -> list[rl.CubicRD]:

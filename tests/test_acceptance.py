@@ -190,7 +190,7 @@ def test_criterion_8_clustering_recovery(model):
     for seed in range(10):
         rng = np.random.default_rng(5000 + seed)
         vectors = grouped_vectors(clusters, [T1080], model.grid, model, noise=0.1, rng=rng)[T1080]
-        result = rl.kmeans(vectors, k=6, seed=seed)
+        result = rl.kmeans(vectors.psnr, k=6, seed=seed)
         mapping: dict[int, set] = {}
         for want, got in zip(clusters, result.labels):
             mapping.setdefault(want, set()).add(got)

@@ -161,6 +161,43 @@ class TestRecommend:
         assert all(r["tier"] == "360p" for r in doc["recommendations"])
         assert all(r["proposed_bitrate"] == 0.2 for r in doc["recommendations"])
 
+    def test_takes_each_gop_at_its_highest_model_tier(self, tmp_path, paper_model, capsys):
+        def rows(gop_id, tier, cluster, curve_tier=None):
+            model = paper_model.model(cluster, rl.tier_from_name(curve_tier or tier))
+            return [f"{gop_id},{tier},{b},{rl.eval_cubic(model, b)!r}" for b in (0.5, 2.0, 5.0)]
+
+        path = tmp_path / "tiers.csv"
+        path.write_text("\n".join([
+            "gop_id,resolution,bitrate_mbps,psnr_db",
+            # Three tiers, the highest not last; its points lie on cluster 6.
+            *rows("a", "360p", 1), *rows("a", "1080p", 6), *rows("a", "720p", 2),
+            # 1440p is not in the model; the 540p points lie on cluster 3.
+            *rows("b", "1440p", 6, curve_tier="1080p"), *rows("b", "540p", 3),
+        ]) + "\n")
+        rc = cli.main([
+            "recommend", "--paper-model", str(path),
+            "--target-bitrate", "3.0", "--modes", "vl", "--format", "json",
+        ])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        got = [(r["gop_id"], r["tier"], r["cluster"]) for r in doc["recommendations"]]
+        assert got == [("a", "1080p", 6), ("b", "540p", 3)]
+
+        path.write_text(path.read_text() + "c,1440p,1.0,40.0\nc,2160p,1.0,40.0\n")
+        rc = cli.main(["recommend", "--paper-model", str(path), "--target-bitrate", "3.0"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: gop 'c': no measured tier is present in the model\n"
+
+    @pytest.mark.parametrize("target", ["-1", "0", "nan", "inf"])
+    def test_invalid_target_exits_1_before_reading_measurements(self, target, capsys):
+        rc = cli.main([
+            "recommend", "--paper-model", "/nonexistent.csv", f"--target-bitrate={target}",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: target bitrate must be finite and > 0\n"
+
     def test_empty_measurements_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("gop_id,resolution,bitrate_mbps,psnr_db\n")

@@ -9,17 +9,23 @@ from rdladder.errors import (
     InsufficientDataError,
     ValidationError,
 )
-from rdladder.ingest import RDSample
+from rdladder.ingest import MEASUREMENT_HEADER
 
 from helpers import grouped_vectors
 
 
-def make_samples(gop_id, tier, pairs):
-    return [RDSample(gop_id=gop_id, tier=tier, bitrate=r, psnr=q) for r, q in pairs]
+def measurements(gop_id, tier, pairs):
+    rows = [MEASUREMENT_HEADER] + [f"{gop_id},{tier.name},{r!r},{q!r}" for r, q in pairs]
+    return rl.parse_measurements("\n".join(rows) + "\n")
 
 
-def const_vector(gop_id, tier, value, length=10):
-    return rl.RDVector(gop_id=gop_id, tier=tier, psnr=(value,) * length)
+def resampled(gop_id, tier, pairs, grid):
+    """The one resampled PSNR vector of a single (gop, tier) group."""
+    return rl.resample_to_grid(measurements(gop_id, tier, pairs), grid)[tier].psnr[0].tolist()
+
+
+def const_vectors(value, count, length=10):
+    return np.full((count, length), value)
 
 
 class TestGrid:
@@ -38,29 +44,31 @@ class TestGrid:
             rl.BitrateGrid((1.0, 2.0, 2.0, 3.0))
 
 
-def test_rdvector_validation(t1080):
+def test_tier_vectors_validation(t1080):
+    cases = [
+        (((30.0, 31.0), (30.0, float("nan"))), "gop 'g1': PSNR vector must be finite and non-empty"),
+        (((30.0, 31.0), (0.0, 30.0)), "gop 'g1': PSNR values must be in (0, 100] dB"),
+        (((30.0, 101.0), (30.0, 31.0)), "gop 'g0': PSNR values must be in (0, 100] dB"),
+        (((), ()), "gop 'g0': PSNR vector must be finite and non-empty"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            rl.TierVectors(t1080, ("g0", "g1"), np.array(rows))
+        assert str(exc.value) == message
     with pytest.raises(ValidationError):
-        rl.RDVector("g", t1080, (30.0, float("nan")))
-    with pytest.raises(ValidationError):
-        rl.RDVector("g", t1080, (0.0, 30.0))
-    with pytest.raises(ValidationError):
-        rl.RDVector("g", t1080, (30.0, 101.0))
+        rl.TierVectors(t1080, ("g0",), np.full((2, 4), 30.0))
 
 
 class TestResample:
     def test_linear_midpoint(self, t720):
-        samples = make_samples("g", t720, [(1.0, 30.0), (3.0, 34.0)])
-        vec = rl.resample_to_grid(samples, rl.BitrateGrid((1.0, 1.5, 2.0, 3.0)))
-        assert vec.psnr == (30.0, 31.0, 32.0, 34.0)
+        psnr = resampled("g", t720, [(1.0, 30.0), (3.0, 34.0)], rl.BitrateGrid((1.0, 1.5, 2.0, 3.0)))
+        assert psnr == [30.0, 31.0, 32.0, 34.0]
 
     def test_identity_at_grid_bitrates(self, paper_model, t1080):
         grid = rl.BitrateGrid.default()
         model = paper_model.model(4, t1080)
-        samples = make_samples(
-            "g", t1080, [(b, rl.eval_cubic(model, b)) for b in grid.bitrates]
-        )
-        vec = rl.resample_to_grid(samples, grid)
-        assert vec.psnr == tuple(s.psnr for s in samples)
+        pairs = [(b, rl.eval_cubic(model, b)) for b in grid.bitrates]
+        assert resampled("g", t1080, pairs, grid) == [q for _, q in pairs]
 
     def test_off_grid_interpolation_stays_close_to_curve(self, paper_model, t720):
         # 20 off-grid samples from the cluster-2 720p curve; the linear
@@ -68,42 +76,44 @@ class TestResample:
         grid = rl.BitrateGrid.default()
         model = paper_model.model(2, t720)
         sample_bitrates = np.linspace(0.2, 6.0, 20)
-        samples = make_samples(
-            "g", t720, [(float(b), rl.eval_cubic(model, float(b))) for b in sample_bitrates]
-        )
-        vec = rl.resample_to_grid(samples, grid)
-        deviations = [
-            abs(q - rl.eval_cubic(model, b)) for b, q in zip(grid.bitrates, vec.psnr)
-        ]
+        pairs = [(float(b), rl.eval_cubic(model, float(b))) for b in sample_bitrates]
+        psnr = resampled("g", t720, pairs, grid)
+        deviations = [abs(q - rl.eval_cubic(model, b)) for b, q in zip(grid.bitrates, psnr)]
         assert max(deviations) < 0.05
 
     def test_coverage_error_names_gop_and_bitrate(self, t720):
-        samples = make_samples("gop7", t720, [(0.5, 30.0), (4.0, 35.0)])
+        mset = measurements("gop7", t720, [(0.5, 30.0), (4.0, 35.0)])
         with pytest.raises(CoverageError) as exc:
-            rl.resample_to_grid(samples, rl.BitrateGrid.default())
+            rl.resample_to_grid(mset, rl.BitrateGrid.default())
         assert "gop7" in str(exc.value) and "0.2" in str(exc.value)
 
     def test_conflicting_duplicates(self, t720):
-        samples = make_samples("g", t720, [(1.0, 30.0), (1.0, 31.0), (3.0, 34.0)])
+        # Conflicting rows are rejected while parsing, before any resampling.
         with pytest.raises(ConflictError):
-            rl.resample_to_grid(samples, rl.BitrateGrid((1.0, 2.0, 2.5, 3.0)))
+            measurements("g", t720, [(1.0, 30.0), (1.0, 31.0), (3.0, 34.0)])
+
+    def test_rows_follow_first_appearance_per_tier(self, t720, t1080):
+        text = "\n".join([
+            MEASUREMENT_HEADER,
+            "b,720p,1.0,30.0", "a,1080p,1.0,31.0", "a,720p,3.0,33.0", "b,720p,3.0,34.0",
+            "a,1080p,3.0,35.0", "a,720p,1.0,32.0",
+        ])
+        by_tier = rl.resample_to_grid(rl.parse_measurements(text), rl.BitrateGrid((1, 1.5, 2, 3)))
+        assert by_tier[t720].gop_ids == ("b", "a")
+        assert by_tier[t720].psnr.tolist() == [[30.0, 31.0, 32.0, 34.0], [32.0, 32.25, 32.5, 33.0]]
+        assert by_tier[t1080].gop_ids == ("a",)
 
 
 class TestKMeans:
     def test_k1_centroid_is_mean(self, t1080):
         rng = np.random.default_rng(5)
-        vectors = [
-            rl.RDVector(f"g{i}", t1080, tuple(rng.uniform(20, 50, 10))) for i in range(8)
-        ]
+        vectors = rng.uniform(20, 50, (8, 10))
         result = rl.kmeans(vectors, k=1, seed=0)
-        stacked = np.stack([v.as_array() for v in vectors])
-        assert np.allclose(result.centroids[0], stacked.mean(axis=0), atol=1e-12)
+        assert np.allclose(result.centroids[0], vectors.mean(axis=0), atol=1e-12)
 
     def test_separated_groups_recovered_exactly(self, t1080):
-        vectors = (
-            [const_vector(f"a{i}", t1080, 10.0) for i in range(4)]
-            + [const_vector(f"b{i}", t1080, 50.0) for i in range(4)]
-            + [const_vector(f"c{i}", t1080, 90.0) for i in range(4)]
+        vectors = np.concatenate(
+            [const_vectors(10.0, 4), const_vectors(50.0, 4), const_vectors(90.0, 4)]
         )
         result = rl.kmeans(vectors, k=3, seed=1)
         assert result.inertia == 0.0
@@ -114,9 +124,7 @@ class TestKMeans:
 
     def test_determinism(self, t1080):
         rng = np.random.default_rng(9)
-        vectors = [
-            rl.RDVector(f"g{i}", t1080, tuple(rng.uniform(20, 60, 10))) for i in range(30)
-        ]
+        vectors = rng.uniform(20, 60, (30, 10))
         a = rl.kmeans(vectors, k=4, seed=42)
         b = rl.kmeans(vectors, k=4, seed=42)
         assert a.labels == b.labels
@@ -124,9 +132,7 @@ class TestKMeans:
 
     def test_inertia_history_non_increasing(self, t1080):
         rng = np.random.default_rng(17)
-        vectors = [
-            rl.RDVector(f"g{i}", t1080, tuple(rng.uniform(15, 60, 10))) for i in range(50)
-        ]
+        vectors = rng.uniform(15, 60, (50, 10))
         for seed in range(5):
             result = rl.kmeans(vectors, k=5, seed=seed)
             history = result.inertia_history
@@ -134,23 +140,19 @@ class TestKMeans:
 
     def test_labels_are_nearest_centroids(self, t1080):
         rng = np.random.default_rng(23)
-        vectors = [
-            rl.RDVector(f"g{i}", t1080, tuple(rng.uniform(15, 60, 10))) for i in range(40)
-        ]
+        vectors = rng.uniform(15, 60, (40, 10))
         result = rl.kmeans(vectors, k=4, seed=3)
-        x = np.stack([v.as_array() for v in vectors])
-        d2 = ((x[:, None, :] - result.centroids[None]) ** 2).sum(axis=2)
+        d2 = ((vectors[:, None, :] - result.centroids[None]) ** 2).sum(axis=2)
         assert np.array_equal(np.asarray(result.labels), d2.argmin(axis=1))
 
     def test_insufficient_vectors(self, t1080):
         with pytest.raises(InsufficientDataError):
-            rl.kmeans([const_vector("g", t1080, 30.0)], k=2, seed=0)
+            rl.kmeans(const_vectors(30.0, 1), k=2, seed=0)
 
     def test_empty_cluster_reseeded_at_farthest_point(self, t1080):
         # Force an empty cluster via an explicit init far from all data.
-        vectors = [const_vector(f"a{i}", t1080, 10.0 + 0.01 * i) for i in range(5)] + [
-            const_vector(f"b{i}", t1080, 50.0 + 0.01 * i) for i in range(5)
-        ]
+        offsets = 0.01 * np.arange(5)[:, None]
+        vectors = np.concatenate([const_vectors(10.0, 5) + offsets, const_vectors(50.0, 5) + offsets])
         init = np.stack(
             [
                 np.full(10, 10.0),
@@ -169,7 +171,7 @@ class TestKMeans:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(1000 + seed)
             by_tier = grouped_vectors(clusters, [t1080], grid, paper_model, noise=0.1, rng=rng)
-            result = rl.kmeans(by_tier[t1080], k=6, seed=seed)
+            result = rl.kmeans(by_tier[t1080].psnr, k=6, seed=seed)
             mapping = {}
             for want, got in zip(clusters, result.labels):
                 mapping.setdefault(want, set()).add(got)
@@ -181,7 +183,7 @@ class TestTrain:
     def test_single_tier_reproduces_generating_cubics(self, paper_model, t1080):
         grid = paper_model.grid
         by_tier = grouped_vectors([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
-        trained = rl.train(by_tier, grid, k=6, seed=42)
+        trained, _ = train_details(by_tier, grid, k=6, seed=42)
         for c in range(1, 7):
             got = trained.model(c, t1080).coefficients
             want = paper_model.model(c, t1080).coefficients
@@ -190,10 +192,8 @@ class TestTrain:
     def test_two_identical_tiers_match_identically(self, paper_model, t720, t1080):
         grid = paper_model.grid
         base = grouped_vectors([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
-        clone = [
-            rl.RDVector(v.gop_id, t720, v.psnr) for v in base[t1080]
-        ]
-        trained = rl.train({t1080: base[t1080], t720: clone}, grid, k=6, seed=42)
+        clone = rl.TierVectors(t720, base[t1080].gop_ids, base[t1080].psnr)
+        trained, _ = train_details({t1080: base[t1080], t720: clone}, grid, k=6, seed=42)
         for c in range(1, 7):
             assert trained.model(c, t720).coefficients == trained.model(c, t1080).coefficients
             assert trained.centroid(c, t720) == trained.centroid(c, t1080)
@@ -206,7 +206,7 @@ class TestTrain:
         clusters = [c for c in range(1, 7) for _ in range(10)]
         rng = np.random.default_rng(77)
         by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
-        trained = rl.train(by_tier, grid, k=6, seed=42)
+        trained, _ = train_details(by_tier, grid, k=6, seed=42)
         for c in range(1, 7):
             for tier in paper_model.tiers:
                 want = np.mean(paper_model.centroid(c, tier))
@@ -224,7 +224,7 @@ class TestTrain:
         grid = paper_model.grid
         by_tier = grouped_vectors([1, 2, 3], [t1080], grid, paper_model)
         with pytest.raises(InsufficientDataError):
-            rl.train(by_tier, grid, k=6, seed=42)
+            train_details(by_tier, grid, k=6, seed=42)
 
 
 def assign_one(tables, points, tier, gop_id=""):

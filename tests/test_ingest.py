@@ -3,17 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
 from rdladder.errors import (
     ConflictError,
     ParseError,
+    RDLadderError,
     SchemaVersionError,
     ValidationError,
 )
-from rdladder.ingest import MEASUREMENT_HEADER, RDSample
+from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grouped_vectors, measurement_csv
+from helpers import grouped_vectors, measurement_csv, reference_parse, reference_resample
 
 # Golden checksum of the built-in model's canonical serialization; it must
 # never drift across runs or refactors.
@@ -25,9 +27,9 @@ class TestParse:
         text = f"{MEASUREMENT_HEADER}\ngop1,720p,1.5,33.25\n"
         mset = rl.parse_measurements(text, source="unit")
         assert len(mset) == 1
-        ((key, samples),) = list(mset.groups())
-        assert key == ("gop1", rl.tier_from_name("720p"))
-        assert samples[0].bitrate == 1.5 and samples[0].psnr == 33.25
+        assert mset.groups == (("gop1", rl.tier_from_name("720p")),)
+        bitrates, psnr = mset.rows(0)
+        assert bitrates.tolist() == [1.5] and psnr.tolist() == [33.25]
 
     def test_comments_and_blank_lines_ignored(self):
         text = f"# comment\n\n{MEASUREMENT_HEADER}\n# another\ngop1,360p,1.0,30.0\n\n"
@@ -41,8 +43,9 @@ class TestParse:
             "g,1080p,2.0,36.0\n"
         )
         mset = rl.parse_measurements(text)
-        ((_, samples),) = list(mset.groups())
-        assert [s.bitrate for s in samples] == [1.0, 2.0, 3.0]
+        bitrates, psnr = mset.rows(0)
+        assert bitrates.tolist() == [1.0, 2.0, 3.0]
+        assert psnr.tolist() == [33.0, 36.0, 38.0]
 
     def test_malformed_row_names_line(self):
         text = f"{MEASUREMENT_HEADER}\ngop1,720p,1.5\n"
@@ -81,6 +84,18 @@ class TestParse:
         with pytest.raises(ConflictError, match="line 3"):
             rl.parse_measurements(text)
 
+    def test_first_fault_in_file_order_is_reported(self):
+        conflict = "g,1080p,1.0,33.0\ng,1080p,1.0,34.0"
+        bad_row = "h,1080p,1.0"
+        with pytest.raises(ConflictError, match="line 3: .* from line 2"):
+            rl.parse_measurements(f"{MEASUREMENT_HEADER}\n{conflict}\n{bad_row}\n")
+        with pytest.raises(ParseError, match="line 2: expected 4"):
+            rl.parse_measurements(f"{MEASUREMENT_HEADER}\n{bad_row}\n{conflict}\n")
+        # Group g sorts first, but group h's conflict comes first in the file.
+        rows = ["g,1080p,3.0,33.0", "h,1080p,1.0,30.0", "h,1080p,1.0,31.0", "g,1080p,3.0,34.0"]
+        with pytest.raises(ConflictError, match="line 4: gop 'h' .* from line 3"):
+            rl.parse_measurements("\n".join([MEASUREMENT_HEADER, *rows]))
+
     def test_exact_duplicate_rows_collapse(self):
         text = (
             f"{MEASUREMENT_HEADER}\n"
@@ -98,7 +113,9 @@ class TestParse:
         )
         first = rl.parse_measurements(text)
         second = rl.parse_measurements(rl.format_measurements(first))
-        assert first.samples == second.samples
+        assert first.groups == second.groups
+        for column in ("offsets", "bitrates", "psnr"):
+            assert np.array_equal(getattr(first, column), getattr(second, column))
 
     def test_grid_aligned_file_resamples_to_identity_and_assigns(self, paper_model, tables, t1080):
         model = paper_model.model(4, t1080)
@@ -107,14 +124,113 @@ class TestParse:
             f"g,1080p,{b:.17g},{rl.eval_cubic(model, b):.17g}" for b in grid.bitrates
         ]
         mset = rl.parse_measurements("\n".join(rows) + "\n")
-        samples = mset.samples[("g", t1080)]
-        vec = rl.resample_to_grid(samples, grid)
-        assert vec.psnr == pytest.approx(
+        vectors = rl.resample_to_grid(mset, grid)[t1080]
+        assert vectors.gop_ids == ("g",)
+        assert vectors.psnr[0].tolist() == pytest.approx(
             [rl.eval_cubic(model, b) for b in grid.bitrates], abs=1e-12
         )
-        obs = rl.GopObservation("g", t1080, tuple((s.bitrate, s.psnr) for s in samples))
+        bitrates, psnr = mset.rows(0)
+        obs = rl.GopObservation("g", t1080, tuple(zip(bitrates.tolist(), psnr.tolist())))
         (assignment,) = tables.assign([obs])
         assert assignment.cluster == 4
+
+
+# Bitrates every generated group measures, so it covers DIFF_GRID unless a
+# fault says otherwise.
+DIFF_GRID = rl.BitrateGrid((0.5, 1.0, 2.0, 4.0))
+GRID_ENDS = (0.5, 4.0)
+# One faulty row each: bad field counts, unknown tiers, non-numeric
+# fields, bitrates <= 0, PSNR outside (0, 100], empty GOP ids, and groups
+# too short for the grid or with a single sample. A conflicting
+# duplicate ("conflict") is drawn from the file's own rows.
+FAULTS = [
+    "g9,720p,1.0", "g9,720p,1.0,30.0,1", "g9",
+    "g9,700i,1.0,30.0", "g9,p,1.0,30.0", "g9,12345p,1.0,30.0",
+    "g9,720p,abc,30.0", "g9,720p,1.0, x ", "g9,720p,,30.0",
+    "g9,720p,0,30.0", "g9,720p,-1.5,30.0", "g9,720p,nan,30.0", "g9,720p,inf,30.0",
+    "g9,720p,1.0,0", "g9,720p,1.0,100.5", "g9,720p,1.0,nan", "g9,720p,1.0,-inf",
+    ",720p,1.0,30.0", " ,720p,1.0,30.0",
+    "g9,1440p,1.0,30.0\ng9,1440p,2.0,31.0", "g9,1440p,0.5,30.0\ng9,1440p,1.5,31.0",
+    "g9,480p,1.0,30.0",
+    "conflict",
+]
+NOISE_LINES = ["", "   ", "# comment", "  # indented, comment,with,commas"]
+
+
+@st.composite
+def measurement_files(draw):
+    """A measurement CSV as a file may arrive: comments and blank lines
+    anywhere, padded fields, non-standard NNNp tiers, groups interleaved
+    with unsorted bitrates, exact duplicate rows, and up to two injected
+    faults (a conflicting duplicate is one)."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["g0", "g1", "g2", "g3"]),
+                  st.sampled_from(["360p", "540p", "720p", "1080p", "240p", "1440p"])),
+        min_size=1, max_size=8, unique=True,
+    ))
+    rows = []
+    for gop_id, tier in keys:
+        extra = draw(st.lists(st.floats(0.1, 8.0), max_size=5))
+        for bitrate in dict.fromkeys([*GRID_ENDS, *extra]):
+            rows.append((gop_id, tier, bitrate, draw(st.floats(0.5, 99.0))))
+    rows = draw(st.permutations(rows))
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    lines = [pad.join(["", gop_id, ",", tier, ",", repr(b), ",", repr(q), ""])
+             for gop_id, tier, b, q in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.integers(0, len(lines) - 1))])
+    for bad in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        if bad == "conflict":
+            gop_id, tier, b, q = rows[draw(st.integers(0, len(rows) - 1))]
+            bad = f"{gop_id},{tier},{b!r},{q + 0.5!r}"
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE_LINES)))
+    header = draw(st.sampled_from([MEASUREMENT_HEADER] * 9 + ["gop,resolution,bitrate,psnr"]))
+    head = draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
+    return "\n".join([*head, header, *lines]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def outcome(fn):
+    """``fn()`` and no error, or None and the (type, message) it raised."""
+    try:
+        return fn(), None
+    except RDLadderError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestColumnarIngest:
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(text=measurement_files())
+    def test_matches_row_by_row_reference(self, text):
+        expected, expected_error = outcome(lambda: reference_parse(text, "gen.csv"))
+        mset, error = outcome(lambda: rl.parse_measurements(text, "gen.csv"))
+        assert error == expected_error
+        if error:
+            return
+        assert mset.groups == tuple(expected)
+        samples = [s for group in expected.values() for s in group]
+        assert mset.bitrates.tobytes() == np.array([s.bitrate for s in samples]).tobytes()
+        assert mset.psnr.tobytes() == np.array([s.psnr for s in samples]).tobytes()
+        assert mset.offsets.tolist() == np.cumsum([0, *map(len, expected.values())]).tolist()
+
+        def resample_each():
+            by_tier: dict = {}
+            for (gop_id, tier), group in expected.items():
+                ids, rows = by_tier.setdefault(tier, ([], []))
+                ids.append(gop_id)
+                rows.append(reference_resample(group, DIFF_GRID))
+            return by_tier
+
+        expected_vectors, expected_error = outcome(resample_each)
+        vectors, error = outcome(lambda: rl.resample_to_grid(mset, DIFF_GRID))
+        assert error == expected_error
+        if error:
+            return
+        assert list(vectors) == list(expected_vectors)
+        for tier, (ids, rows) in expected_vectors.items():
+            assert vectors[tier].gop_ids == tuple(ids)
+            assert vectors[tier].psnr.tobytes() == np.array(rows).tobytes()
 
 
 class TestBuiltinModel:
@@ -161,7 +277,7 @@ class TestModelFile:
         grid = paper_model.grid
         clusters = [c for c in range(1, 7) for _ in range(6)]
         by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
-        trained = rl.train(by_tier, grid, k=6, seed=42)
+        trained, _ = rl.train_details(by_tier, grid, k=6, seed=42)
         loaded = rl.load_model(rl.save_model(trained))
         for cluster in trained.clusters:
             lt = rl.build_ladder(trained, cluster, cfg)
@@ -193,12 +309,14 @@ class TestModelFile:
             rl.load_model(json.dumps(doc))
 
 
-def test_rdsample_validation(t720):
-    with pytest.raises(ValidationError):
-        RDSample("", t720, 1.0, 30.0)
-    with pytest.raises(ValidationError):
-        RDSample("g", t720, 0.0, 30.0)
-    with pytest.raises(ValidationError):
-        RDSample("g", t720, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        RDSample("g", t720, 1.0, 120.0)
+def test_row_validation():
+    cases = [
+        (",720p,1.0,30.0", "line 2: gop_id must be non-empty"),
+        ("g,720p,0.0,30.0", "line 2: gop 'g': bitrate must be finite and > 0"),
+        ("g,720p,1.0,0.0", "line 2: gop 'g': psnr must be in (0, 100] dB"),
+        ("g,720p,1.0,120.0", "line 2: gop 'g': psnr must be in (0, 100] dB"),
+    ]
+    for row, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            rl.parse_measurements(f"{MEASUREMENT_HEADER}\n{row}\n")
+        assert str(exc.value) == message

@@ -26,19 +26,19 @@ def main() -> int:
     args = parser.parse_args()
 
     model_set = rl.builtin_model()
-    cfg = rl.DecisionConfig()
     tier = rl.tier_from_name(args.tier)
-    tables = rl.DecisionTables(model_set, cfg)
+    tables = rl.DecisionTables(model_set, rl.DecisionConfig())
+    vl_only, nzs_only = rl.Modes(vl=True), rl.Modes(nzs=True)
 
     print("target_mbps,cluster,vl_proposed,vl_saving_pct,nzs_proposed,nzs_saving_pct")
     for target in np.linspace(args.lo, args.hi, args.steps):
+        target = float(target)
         for cluster in model_set.clusters:
-            vl = rl.recommend_bitrate_vl(cluster, tier, float(target), tables.vl)
-            nzs = rl.recommend_bitrate_nzs(cluster, tier, float(target), tables.nzs)
-            print(
-                f"{target:.3f},{cluster},{vl:.3f},{100 * (target - vl) / target:.2f},"
-                f"{nzs:.3f},{100 * (target - nzs) / target:.2f}"
-            )
+            _, vl, *_ = tables.decide(cluster, tier, target, vl_only)
+            _, nzs, *_ = tables.decide(cluster, tier, target, nzs_only)
+            report = rl.savings_report({"vl": [(target, vl)], "nzs": [(target, nzs)]})
+            vl_saving, nzs_saving = (video.saving_percent for video in report.videos)
+            print(f"{target:.3f},{cluster},{vl:.3f},{vl_saving:.2f},{nzs:.3f},{nzs_saving:.2f}")
     return 0
 
 

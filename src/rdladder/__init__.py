@@ -19,6 +19,8 @@ from .clustering import (
     train_details,
 )
 from .decision import (
+    OPERATING_RANGE,
+    VL_SEARCH_RANGE,
     Advice,
     CurveIntersection,
     DecisionConfig,
@@ -34,9 +36,6 @@ from .decision import (
     build_ladder,
     curve_intersections,
     nzs_interval,
-    recommend_bitrate_nzs,
-    recommend_bitrate_vl,
-    recommend_resolution,
     savings_report,
     vl_threshold,
 )

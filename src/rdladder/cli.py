@@ -19,12 +19,18 @@ import sys
 from pathlib import Path
 
 from .clustering import BitrateGrid, ClusterModelSet, resample_to_grid, train_details
-from .decision import DecisionConfig, DecisionTables, GopError, GopObservation, Modes
+from .decision import (
+    OPERATING_RANGE,
+    DecisionConfig,
+    DecisionTables,
+    GopError,
+    GopObservation,
+    Modes,
+    advice_document,
+)
 from .errors import RDLadderError, ValidationError
 from .ingest import builtin_model, load_model, parse_measurements, save_model
 from .rd_model import compare_fits, eval_cubic
-from .service import advice_document, make_server
-from .verify import all_passed, render_report, verify_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,6 +109,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import all_passed, render_report, verify_rows
+
     rows = verify_rows(_decision_config(args))
     if args.format == "json":
         print(json.dumps([row.__dict__ for row in rows], indent=2))
@@ -178,7 +186,7 @@ def cmd_plotdata(args) -> int:
             raise ValidationError(f"unknown cluster index {index}")
         clusters = [index]
 
-    lo, hi = cfg.operating_range
+    lo, hi = OPERATING_RANGE
     steps = int((hi - lo) / PLOT_STEP + 1e-9) + 1
     bitrates = [lo + PLOT_STEP * i for i in range(steps)]
 
@@ -209,6 +217,9 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    # Imported here so that the other commands do not load http.server.
+    from .service import make_server
+
     model_set = _load_model_source(args)
     cfg = _decision_config(args)
     host, _, port_s = args.bind.rpartition(":")

@@ -252,10 +252,6 @@ class ClusterModelSet:
     def clusters(self) -> range:
         return range(1, self.k + 1)
 
-    @property
-    def reference_tier(self) -> ResolutionTier:
-        return max(self.tiers)
-
     def has_tier(self, tier: ResolutionTier) -> bool:
         return tier in self.tiers
 

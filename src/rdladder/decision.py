@@ -26,33 +26,26 @@ from .tiers import ResolutionTier
 _TIER_TIE_TOL = 1e-9
 
 
+# Bitrate range (Mbps) that ladders and near-zero-slope intervals cover.
+OPERATING_RANGE = (0.2, 6.0)
+# Visually-lossless thresholds may sit past the operating range (such
+# results are flagged as extrapolation), so their search reaches further.
+VL_SEARCH_RANGE = (0.2, 12.0)
+
+
 @dataclass(frozen=True)
 class DecisionConfig:
-    """Thresholds and ranges for ladder/threshold/interval derivation.
-
-    ``operating_range`` bounds ladders and near-zero-slope intervals;
-    ``vl_search_range`` may extend past it because visually-lossless
-    thresholds can sit beyond the fitted bitrate span (such results are
-    flagged as extrapolation).
-    """
+    """Quality target (dB) for the visually-lossless cap and slope
+    threshold (dB/Mbps) for the near-zero-slope reduction."""
 
     vl_psnr: float = 40.0
     nzs_slope: float = 0.1
-    operating_range: tuple[float, float] = (0.2, 6.0)
-    vl_search_range: tuple[float, float] = (0.2, 12.0)
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.vl_psnr <= 0:
             raise ValidationError("vl_psnr must be > 0")
         if self.nzs_slope <= 0:
             raise ValidationError("nzs_slope must be > 0")
-        for name in ("operating_range", "vl_search_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or lo >= hi:
-                raise ValidationError(f"{name} must satisfy 0 < lo < hi")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be > 0")
 
 
 def _polish_root(coeffs_desc: np.ndarray, r: float, iters: int = 6) -> float:
@@ -111,10 +104,9 @@ def curve_intersections(
     a: CubicRD,
     b: CubicRD,
     r_range: tuple[float, float],
-    tol: float = 1e-9,
 ) -> list[CurveIntersection]:
-    """Real roots of (a - b)(R) = 0 inside ``r_range``, ascending,
-    deduplicated at ``tol``. Raises IdenticalCurvesError when the curves
+    """Real roots of (a - b)(R) = 0 inside ``r_range``, ascending, with
+    roots closer than 1e-6 merged. Raises IdenticalCurvesError when the curves
     coincide coefficient-wise (every bitrate 'intersects', which is not an
     empty result)."""
     lo, hi = r_range
@@ -128,9 +120,8 @@ def curve_intersections(
 
     roots = [r for r in _real_roots(diff) if lo <= r <= hi]
     merged: list[float] = []
-    merge_tol = max(tol, 1e-6)
     for r in roots:
-        if merged and abs(r - merged[-1]) <= merge_tol:
+        if merged and abs(r - merged[-1]) <= 1e-6:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
             merged.append(r)
@@ -198,7 +189,7 @@ class ResolutionLadder:
         return self.segments[-1].tier
 
 
-def build_ladder(model_set: ClusterModelSet, cluster: int, cfg: DecisionConfig) -> ResolutionLadder:
+def build_ladder(model_set: ClusterModelSet, cluster: int) -> ResolutionLadder:
     """Partition the operating range at the cluster's pairwise curve
     intersections and keep, per segment, the tier with the highest quality
     at the segment midpoint (quality ties go to the higher tier).
@@ -206,7 +197,7 @@ def build_ladder(model_set: ClusterModelSet, cluster: int, cfg: DecisionConfig) 
     breakpoints; adjacent same-tier segments are merged."""
     if cluster not in model_set.clusters:
         raise ValidationError(f"unknown cluster index {cluster}")
-    lo, hi = cfg.operating_range
+    lo, hi = OPERATING_RANGE
     tiers = model_set.tiers
     curves = {t: model_set.model(cluster, t) for t in tiers}
 
@@ -214,14 +205,14 @@ def build_ladder(model_set: ClusterModelSet, cluster: int, cfg: DecisionConfig) 
     for i, t1 in enumerate(tiers):
         for t2 in tiers[i + 1 :]:
             try:
-                hits = curve_intersections(curves[t1], curves[t2], (lo, hi), tol=cfg.tolerance)
+                hits = curve_intersections(curves[t1], curves[t2], OPERATING_RANGE)
             except IdenticalCurvesError:
                 continue
             cuts.extend(x.bitrate for x in hits if not x.tangential and lo < x.bitrate < hi)
 
     merged_cuts: list[float] = []
     for r in sorted(cuts):
-        if merged_cuts and abs(r - merged_cuts[-1]) <= max(cfg.tolerance, 1e-9):
+        if merged_cuts and abs(r - merged_cuts[-1]) <= 1e-9:
             continue
         merged_cuts.append(r)
 
@@ -258,7 +249,7 @@ def vl_threshold(model: CubicRD, cfg: DecisionConfig) -> Optional[VlThreshold]:
     ``cfg.vl_psnr`` on a rising branch; None when the curve never gets
     there. A curve already at/above the target at the range minimum clamps
     to that minimum."""
-    lo, hi = cfg.vl_search_range
+    lo, hi = VL_SEARCH_RANGE
     if eval_cubic(model, lo) >= cfg.vl_psnr:
         return VlThreshold(bitrate=lo, clamped=True, extrapolated=not model.covers(lo))
     candidates = [
@@ -286,9 +277,6 @@ class NzsInterval:
         if self.lo >= self.hi:
             raise ValidationError("near-zero-slope interval must have lo < hi")
 
-    def contains(self, r: float) -> bool:
-        return self.lo <= r <= self.hi
-
 
 def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[NzsInterval]:
     """Solve slope(R) = cfg.nzs_slope; when the slope dips below the
@@ -308,51 +296,11 @@ def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[NzsInterval]:
     sqrt_disc = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sqrt_disc, b)) if b != 0.0 else 0.5 * sqrt_disc
     r1, r2 = sorted((q / a, c / q)) if q != 0.0 else (-sqrt_disc / (2 * a), sqrt_disc / (2 * a))
-    op_lo, op_hi = cfg.operating_range
+    op_lo, op_hi = OPERATING_RANGE
     lo, hi = max(r1, op_lo), min(r2, op_hi)
     if lo >= hi:
         return None
     return NzsInterval(lo=lo, hi=hi, clamped_lo=r1 < op_lo, clamped_hi=r2 > op_hi)
-
-
-def recommend_resolution(cluster: int, target_r: float, ladder: ResolutionLadder) -> ResolutionTier:
-    """Tier for the ladder segment containing the target bitrate (segment
-    boundaries belong to the lower-bitrate side)."""
-    if ladder.cluster != cluster:
-        raise ValidationError(f"ladder belongs to cluster {ladder.cluster}, not {cluster}")
-    return ladder.tier_at(target_r)
-
-
-def recommend_bitrate_vl(
-    cluster: int,
-    tier: ResolutionTier,
-    target_r: float,
-    thresholds: Mapping[tuple[int, ResolutionTier], Optional[VlThreshold]],
-) -> float:
-    """Cap the target at the visually-lossless threshold when one exists
-    below it; otherwise keep the target."""
-    if target_r <= 0:
-        raise ValidationError("target bitrate must be > 0")
-    threshold = thresholds.get((cluster, tier))
-    if threshold is not None and target_r > threshold.bitrate:
-        return threshold.bitrate
-    return target_r
-
-
-def recommend_bitrate_nzs(
-    cluster: int,
-    tier: ResolutionTier,
-    target_r: float,
-    intervals: Mapping[tuple[int, ResolutionTier], Optional[NzsInterval]],
-) -> float:
-    """Drop a target inside the near-zero-slope interval (endpoints
-    inclusive) to the interval's lower end; otherwise keep the target."""
-    if target_r <= 0:
-        raise ValidationError("target bitrate must be > 0")
-    interval = intervals.get((cluster, tier))
-    if interval is not None and interval.contains(target_r):
-        return interval.lo
-    return target_r
 
 
 @dataclass(frozen=True)
@@ -484,6 +432,42 @@ class Advice:
     savings: Optional[SavingsReport]
 
 
+def recommendation_to_dict(rec: Recommendation) -> dict:
+    return {
+        "gop_id": rec.gop_id,
+        "cluster": rec.cluster,
+        "tier": rec.tier.name,
+        "target_bitrate": rec.target_bitrate,
+        "proposed_bitrate": rec.proposed_bitrate,
+        "predicted_psnr": rec.predicted_psnr,
+        "modes_applied": list(rec.modes_applied),
+        "rationale": rec.rationale,
+    }
+
+
+def advice_document(advice: Advice) -> dict:
+    """The JSON document of a batch, as the service answers it and
+    ``recommend --format json`` prints it: one entry per GOP in order (an
+    error entry for a GOP that could not be answered) and the savings
+    summary, null when no GOP was answered."""
+    savings = advice.savings
+    return {
+        "recommendations": [
+            recommendation_to_dict(r)
+            if isinstance(r, Recommendation)
+            else {"gop_id": r.gop_id, "error": r.error}
+            for r in advice.results
+        ],
+        "savings": None
+        if savings is None
+        else {
+            "total_target": savings.total_target,
+            "total_proposed": savings.total_proposed,
+            "saving_percent": savings.saving_percent,
+        },
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionTables:
     """Everything a decision needs that depends only on the model and the
@@ -509,7 +493,7 @@ class DecisionTables:
         coeffs = np.array([[model_set.model(c, t).coefficients for c in clusters] for t in tiers])
         coeffs.flags.writeable = False
         set_field = functools.partial(object.__setattr__, self)
-        ladders = {c: build_ladder(model_set, c, cfg) for c in clusters}
+        ladders = {c: build_ladder(model_set, c) for c in clusters}
         set_field("ladders", MappingProxyType(ladders))
         set_field("vl", MappingProxyType({k: vl_threshold(model_set.model(*k), cfg) for k in keys}))
         set_field("nzs", MappingProxyType({k: nzs_interval(model_set.model(*k), cfg) for k in keys}))
@@ -566,7 +550,7 @@ class DecisionTables:
                 continue
             key = (assignment.cluster, obs.tier)
             if key not in decisions:
-                decisions[key] = self._decide(assignment.cluster, obs.tier, target_r, modes)
+                decisions[key] = self.decide(assignment.cluster, obs.tier, target_r, modes)
             tier, bitrate, applied, predicted, notes = decisions[key]
             results.append(
                 Recommendation(
@@ -587,17 +571,24 @@ class DecisionTables:
         ]
         return Advice(tuple(results), savings_report({"all": pairs}) if pairs else None)
 
-    def _decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
+    def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
         """(tier, proposed bitrate, modes applied, predicted PSNR, notes)
-        for every GOP of ``cluster`` measured at ``native``."""
+        for every GOP of ``cluster`` measured at ``native``: the ladder's
+        tier when trans-sizing is on (the native one otherwise), then the
+        target capped at the visually-lossless threshold when one exists
+        below it, then dropped to the near-zero-slope interval's lower end
+        when it lies inside that interval (endpoints inclusive)."""
+        if not (math.isfinite(target_r) and target_r > 0):
+            raise ValidationError("target bitrate must be finite and > 0")
+        self.model_set.model(cluster, native)  # rejects an unknown cluster or tier
         notes: list[str] = []
         applied: list[str] = []
         tier = native
         if modes.trans_size:
-            lo, hi = self.cfg.operating_range
+            lo, hi = OPERATING_RANGE
             if not (lo <= target_r <= hi):
                 notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
-            tier = recommend_resolution(cluster, target_r, self.ladders[cluster])
+            tier = self.ladders[cluster].tier_at(target_r)
             if tier != native:
                 applied.append("trans_size")
                 notes.append(f"trans-size {native} -> {tier}")
@@ -605,18 +596,16 @@ class DecisionTables:
                 notes.append(f"keep {tier}")
 
         bitrate = target_r
-        if modes.vl:
-            capped = recommend_bitrate_vl(cluster, tier, bitrate, self.vl)
-            if capped < bitrate:
-                applied.append("vl")
-                notes.append(f"visually-lossless cap {bitrate:g} -> {capped:g}")
-                bitrate = capped
-        if modes.nzs:
-            reduced = recommend_bitrate_nzs(cluster, tier, bitrate, self.nzs)
-            if reduced < bitrate:
-                applied.append("nzs")
-                notes.append(f"near-zero-slope reduction {bitrate:g} -> {reduced:g}")
-                bitrate = reduced
+        threshold = self.vl[(cluster, tier)]
+        if modes.vl and threshold is not None and threshold.bitrate < bitrate:
+            applied.append("vl")
+            notes.append(f"visually-lossless cap {bitrate:g} -> {threshold.bitrate:g}")
+            bitrate = threshold.bitrate
+        interval = self.nzs[(cluster, tier)]
+        if modes.nzs and interval is not None and interval.lo < bitrate <= interval.hi:
+            applied.append("nzs")
+            notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval.lo:g}")
+            bitrate = interval.lo
 
         final_model = self.model_set.model(cluster, tier)
         predicted = eval_cubic(final_model, bitrate)

@@ -65,7 +65,9 @@ def parse_measurements(text: str, source: str = "") -> MeasurementSet:
     header_line = 0
     fault: ValidationError | None = None
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # Lines end at "\n" only (strip() drops a "\r"); splitlines() would
+        # also break at form feeds and other separators inside a row.
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line[0] == "#":
                 continue

@@ -27,53 +27,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .clustering import ClusterModelSet
 from .decision import (
-    Advice,
     DecisionConfig,
     DecisionTables,
     GopError,
     GopObservation,
     Modes,
-    Recommendation,
+    advice_document,
 )
 from .errors import RDLadderError, ValidationError
 from .tiers import tier_from_name
 
 RECOMMEND_PATH = "/v1/recommend"
-
-
-def recommendation_to_dict(rec: Recommendation) -> dict:
-    return {
-        "gop_id": rec.gop_id,
-        "cluster": rec.cluster,
-        "tier": rec.tier.name,
-        "target_bitrate": rec.target_bitrate,
-        "proposed_bitrate": rec.proposed_bitrate,
-        "predicted_psnr": rec.predicted_psnr,
-        "modes_applied": list(rec.modes_applied),
-        "rationale": rec.rationale,
-    }
-
-
-def advice_document(advice: Advice) -> dict:
-    """The response document: one entry per GOP in order (an error entry
-    for a GOP that could not be answered) and the savings summary, null
-    when no GOP was answered."""
-    savings = advice.savings
-    return {
-        "recommendations": [
-            recommendation_to_dict(r)
-            if isinstance(r, Recommendation)
-            else {"gop_id": r.gop_id, "error": r.error}
-            for r in advice.results
-        ],
-        "savings": None
-        if savings is None
-        else {
-            "total_target": savings.total_target,
-            "total_proposed": savings.total_proposed,
-            "saving_percent": savings.saving_percent,
-        },
-    }
 
 
 def _parse_observation(entry, index: int) -> GopObservation:
@@ -170,8 +134,14 @@ def make_server(
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
-                payload = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # rfile.read(-1) would wait for the client to close.
+                self._send(400, {"error": "Content-Length must be a non-negative integer"})
+                return
+            try:
+                payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 self._send(400, {"error": "request body must be valid JSON"})
                 return

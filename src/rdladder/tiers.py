@@ -37,7 +37,9 @@ TIER_1080P = ResolutionTier("1080p", 1920, 1080)
 STANDARD_TIERS: tuple[ResolutionTier, ...] = (TIER_360P, TIER_540P, TIER_720P, TIER_1080P)
 
 _BY_NAME = {t.name: t for t in STANDARD_TIERS}
-_NAME_RE = re.compile(r"^(\d{3,4})p$")
+# ASCII digits without a leading zero: '0720p' would otherwise be a second
+# tier with 720p's dimensions.
+_NAME_RE = re.compile(r"([1-9]\d{2,3})p", re.ASCII)
 
 
 def tier_from_name(name: str) -> ResolutionTier:
@@ -46,7 +48,7 @@ def tier_from_name(name: str) -> ResolutionTier:
     tier = _BY_NAME.get(name)
     if tier is not None:
         return tier
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if m is None:
         raise ValidationError(f"unknown resolution tier {name!r}")
     height = int(m.group(1))

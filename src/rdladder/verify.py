@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import (
+    OPERATING_RANGE,
     DecisionConfig,
     DecisionTables,
+    Modes,
     curve_intersections,
-    recommend_bitrate_nzs,
-    recommend_bitrate_vl,
+    savings_report,
 )
 from .ingest import builtin_model
 from .tiers import tier_from_name
@@ -162,8 +163,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         hits = curve_intersections(
             model.model(cluster, tier_from_name(lo_tier)),
             model.model(cluster, tier_from_name(hi_tier)),
-            cfg.operating_range,
-            tol=cfg.tolerance,
+            OPERATING_RANGE,
         )
         name = f"cluster {cluster} {lo_tier}/{hi_tier} knee"
         if not hits:
@@ -259,55 +259,42 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
             )
         )
 
+    rows += _scenario_rows(
+        tables, "savings-vl", Modes(vl=True), VL_SCENARIOS, VL_SCENARIO_DISCREPANCY,
+        "{:.2f}", "published total contradicts the published per-GOP rows, which sum to 27.90",
+    )
+    rows += _scenario_rows(
+        tables, "savings-nzs", Modes(nzs=True), NZS_SCENARIOS, NZS_SCENARIO_DISCREPANCY,
+        "{:.3f}", "published total contradicts the published per-GOP rows, "
+        "which sum to 50.20 with no reduction applicable",
+    )
+    return rows
+
+
+def _scenario_rows(tables, section, modes, scenarios, discrepancies, published_format, note):
+    """Total and saving rows of each checked scenario video, then a total
+    row per documented discrepancy; every GOP is decided at 1080p."""
     tier_1080 = tier_from_name("1080p")
-    for video, (target, expected_total, expected_saving) in VL_SCENARIOS.items():
-        proposed = [
-            recommend_bitrate_vl(c, tier_1080, target, tables.vl)
-            for c in SCENARIO_CLUSTERS[video]
-        ]
-        total = sum(proposed)
-        target_total = target * len(proposed)
-        saving = 100.0 * (target_total - total) / target_total
-        rows.append(_check("savings-vl", f"{video} model total", total, expected_total, TOTAL_TOL))
-        rows.append(_check("savings-vl", f"{video} saving %", saving, expected_saving, SAVING_TOL))
-    for video, (target, published_total) in VL_SCENARIO_DISCREPANCY.items():
-        proposed = [
-            recommend_bitrate_vl(c, tier_1080, target, tables.vl)
-            for c in SCENARIO_CLUSTERS[video]
-        ]
-        rows.append(
-            VerifyRow(
-                "savings-vl", f"{video} model total", f"{sum(proposed):.4f}",
-                f"{published_total:.2f}", DISCREPANCY,
-                note="published total contradicts the published per-GOP rows, "
-                "which sum to 27.90",
-            )
-        )
 
-    for video, (target, expected_total, expected_saving) in NZS_SCENARIOS.items():
-        proposed = [
-            recommend_bitrate_nzs(c, tier_1080, target, tables.nzs)
-            for c in SCENARIO_CLUSTERS[video]
+    def pairs(video, target):
+        return [
+            (target, tables.decide(cluster, tier_1080, target, modes)[1])
+            for cluster in SCENARIO_CLUSTERS[video]
         ]
-        total = sum(proposed)
-        target_total = target * len(proposed)
-        saving = 100.0 * (target_total - total) / target_total
-        rows.append(_check("savings-nzs", f"{video} model total", total, expected_total, TOTAL_TOL))
-        rows.append(_check("savings-nzs", f"{video} saving %", saving, expected_saving, SAVING_TOL))
-    for video, (target, published_total) in NZS_SCENARIO_DISCREPANCY.items():
-        proposed = [
-            recommend_bitrate_nzs(c, tier_1080, target, tables.nzs)
-            for c in SCENARIO_CLUSTERS[video]
-        ]
-        rows.append(
-            VerifyRow(
-                "savings-nzs", f"{video} model total", f"{sum(proposed):.4f}",
-                f"{published_total:.3f}", DISCREPANCY,
-                note="published total contradicts the published per-GOP rows, "
-                "which sum to 50.20 with no reduction applicable",
-            )
-        )
 
+    rows = []
+    checked = savings_report({video: pairs(video, t) for video, (t, _, _) in scenarios.items()})
+    for video in checked.videos:
+        _, expected_total, expected_saving = scenarios[video.video_id]
+        rows.append(_check(section, f"{video.video_id} model total", video.total_proposed,
+                           expected_total, TOTAL_TOL))
+        rows.append(_check(section, f"{video.video_id} saving %", video.saving_percent,
+                           expected_saving, SAVING_TOL))
+    documented = savings_report({video: pairs(video, t) for video, (t, _) in discrepancies.items()})
+    for video in documented.videos:
+        published = published_format.format(discrepancies[video.video_id][1])
+        rows.append(VerifyRow(section, f"{video.video_id} model total",
+                              f"{video.total_proposed:.4f}", published, DISCREPANCY, note=note))
     return rows
 
 

@@ -119,7 +119,7 @@ def reference_parse(text: str, source: str = "") -> dict:
     appearance, and raises what ``parse_measurements`` must raise."""
     rows = [
         (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
+        for i, line in enumerate(text.split("\n"), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not rows:
@@ -260,11 +260,10 @@ def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recomme
 
     tier = observation.tier
     if modes.trans_size:
-        ladder = rl.build_ladder(model_set, cluster, cfg)
-        lo, hi = cfg.operating_range
+        lo, hi = rl.OPERATING_RANGE
         if not (lo <= target_r <= hi):
             notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
-        tier = rl.recommend_resolution(cluster, target_r, ladder)
+        tier = rl.build_ladder(model_set, cluster).tier_at(target_r)
         if tier != observation.tier:
             applied.append("trans_size")
             notes.append(f"trans-size {observation.tier} -> {tier}")
@@ -272,20 +271,16 @@ def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recomme
             notes.append(f"keep {tier}")
 
     bitrate = target_r
-    if modes.vl:
-        table = {(cluster, tier): rl.vl_threshold(model_set.model(cluster, tier), cfg)}
-        capped = rl.recommend_bitrate_vl(cluster, tier, bitrate, table)
-        if capped < bitrate:
-            applied.append("vl")
-            notes.append(f"visually-lossless cap {bitrate:g} -> {capped:g}")
-            bitrate = capped
-    if modes.nzs:
-        table = {(cluster, tier): rl.nzs_interval(model_set.model(cluster, tier), cfg)}
-        reduced = rl.recommend_bitrate_nzs(cluster, tier, bitrate, table)
-        if reduced < bitrate:
-            applied.append("nzs")
-            notes.append(f"near-zero-slope reduction {bitrate:g} -> {reduced:g}")
-            bitrate = reduced
+    threshold = rl.vl_threshold(model_set.model(cluster, tier), cfg)
+    if modes.vl and threshold is not None and target_r > threshold.bitrate:
+        applied.append("vl")
+        notes.append(f"visually-lossless cap {bitrate:g} -> {threshold.bitrate:g}")
+        bitrate = threshold.bitrate
+    interval = rl.nzs_interval(model_set.model(cluster, tier), cfg)
+    if modes.nzs and interval is not None and interval.lo < bitrate <= interval.hi:
+        applied.append("nzs")
+        notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval.lo:g}")
+        bitrate = interval.lo
 
     final_model = model_set.model(cluster, tier)
     predicted = rl.eval_cubic(final_model, bitrate)

@@ -43,7 +43,7 @@ def test_criterion_1_knee_points(model, config):
         hits = rl.curve_intersections(
             model.model(cluster, rl.tier_from_name("720p")),
             model.model(cluster, T1080),
-            config.operating_range,
+            rl.OPERATING_RANGE,
         )
         got = hits[0].bitrate if hits else float("nan")
         deltas.append(f"c{cluster}: {got:.4f} vs {want}")
@@ -100,7 +100,8 @@ SCENARIO_CLUSTERS = {
 
 
 def test_criterion_4_vl_savings_reproduction(model, config):
-    thresholds = rl.DecisionTables(model, config).vl
+    tables = rl.DecisionTables(model, config)
+    vl_only = rl.Modes(vl=True)
     targets = {
         "Test_1": 6.0, "Test_2": 3.0, "Test_3": 3.0, "Test_4": 6.0,
         "Test_5": 1.0, "Test_7": 3.0, "Test_9": 3.0, "Test_10": 3.0,
@@ -115,7 +116,7 @@ def test_criterion_4_vl_savings_reproduction(model, config):
     }
     groups = {
         video: [
-            (targets[video], rl.recommend_bitrate_vl(c, T1080, targets[video], thresholds))
+            (targets[video], tables.decide(c, T1080, targets[video], vl_only)[1])
             for c in SCENARIO_CLUSTERS[video]
         ]
         for video in targets
@@ -135,7 +136,8 @@ def test_criterion_4_vl_savings_reproduction(model, config):
 
 
 def test_criterion_5_nzs_savings_reproduction(model, config):
-    intervals = rl.DecisionTables(model, config).nzs
+    tables = rl.DecisionTables(model, config)
+    nzs_only = rl.Modes(nzs=True)
     cases = {
         "Test_2": (4.575, 39.34, 14.011),
         "Test_5": (4.575, 32.93, 28.022),
@@ -145,7 +147,7 @@ def test_criterion_5_nzs_savings_reproduction(model, config):
     details = []
     for video, (target, want_total, want_saving) in cases.items():
         proposed = [
-            rl.recommend_bitrate_nzs(c, T1080, target, intervals)
+            tables.decide(c, T1080, target, nzs_only)[1]
             for c in SCENARIO_CLUSTERS[video]
         ]
         total = sum(proposed)
@@ -156,8 +158,8 @@ def test_criterion_5_nzs_savings_reproduction(model, config):
 
 
 def test_criterion_6_trans_sizing_decisions(model, config):
-    ladder3 = rl.build_ladder(model, 3, config)
-    ladder6 = rl.build_ladder(model, 6, config)
+    ladder3 = rl.build_ladder(model, 3)
+    ladder6 = rl.build_ladder(model, 6)
     ok = (
         ladder3.tier_at(0.2).name == "360p"
         and ladder3.tier_at(1.0).name == "720p"
@@ -235,8 +237,8 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     # Ladder argmax invariance at 1000 random bitrates per cluster.
     rng = np.random.default_rng(41)
     for cluster in model.clusters:
-        ladder = rl.build_ladder(model, cluster, config)
-        rs = rng.uniform(*config.operating_range, size=1000)
+        ladder = rl.build_ladder(model, cluster)
+        rs = rng.uniform(*rl.OPERATING_RANGE, size=1000)
         for r in rs:
             best = rl.eval_cubic(model.model(cluster, ladder.tier_at(float(r))), float(r))
             for tier in model.tiers:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rdladder as rl
-from rdladder import cli
+from rdladder import cli, verify
 from rdladder.verify import DISCREPANCY, FAIL, VerifyRow
 
 from helpers import measurement_csv
@@ -62,8 +62,8 @@ class TestTrain:
         capsys.readouterr()
         trained = rl.load_model(out.read_text())
         for cluster in paper_model.clusters:
-            expected = rl.build_ladder(paper_model, cluster, cfg)
-            got = rl.build_ladder(trained, cluster, cfg)
+            expected = rl.build_ladder(paper_model, cluster)
+            got = rl.build_ladder(trained, cluster)
             assert [s.tier for s in got.segments] == [s.tier for s in expected.segments]
             assert got.breakpoints == pytest.approx(expected.breakpoints, abs=0.05)
 
@@ -107,7 +107,7 @@ class TestVerifyPaper:
             VerifyRow("knee", "made-up", "1.0", "2.0", FAIL),
             VerifyRow("knee", "noted", "x", "y", DISCREPANCY),
         ]
-        monkeypatch.setattr(cli, "verify_rows", lambda cfg: fake)
+        monkeypatch.setattr(verify, "verify_rows", lambda cfg: fake)
         rc = cli.main(["verify-paper"])
         capsys.readouterr()
         assert rc == 3
@@ -305,6 +305,17 @@ def test_python_dash_m_help_exits_0():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: rdladder")
+
+
+def test_cli_import_leaves_out_the_server_and_the_paper_check():
+    # Every command pays for what importing the CLI loads; only `serve` needs
+    # http.server and only `verify-paper` needs the reference tables.
+    code = ("import sys, rdladder.cli; "
+            "print(sorted({'http.server', 'rdladder.service', 'rdladder.verify'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_serve_prints_address_through_a_pipe():

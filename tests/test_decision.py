@@ -75,46 +75,46 @@ class TestIntersections:
 
 
 class TestLadder:
-    def test_cluster6_single_segment(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 6, cfg)
+    def test_cluster6_single_segment(self, paper_model):
+        ladder = rl.build_ladder(paper_model, 6)
         assert [seg.tier for seg in ladder.segments] == [T1080]
         assert ladder.breakpoints == ()
 
-    def test_cluster2_720_then_1080(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 2, cfg)
+    def test_cluster2_720_then_1080(self, paper_model):
+        ladder = rl.build_ladder(paper_model, 2)
         assert [seg.tier for seg in ladder.segments] == [T720, T1080]
         assert ladder.breakpoints[0] == pytest.approx(1.499, abs=0.005)
 
-    def test_cluster3_ends_with_720_then_1080(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 3, cfg)
+    def test_cluster3_ends_with_720_then_1080(self, paper_model):
+        ladder = rl.build_ladder(paper_model, 3)
         tiers = [seg.tier for seg in ladder.segments]
         assert tiers[-2:] == [T720, T1080]
         assert ladder.breakpoints[-1] == pytest.approx(1.647, abs=0.005)
         assert tiers[0] == T360
         assert ladder.breakpoints[0] == pytest.approx(0.239, abs=0.005)
 
-    def test_segments_tile_operating_range(self, paper_model, cfg):
+    def test_segments_tile_operating_range(self, paper_model):
         for cluster in paper_model.clusters:
-            ladder = rl.build_ladder(paper_model, cluster, cfg)
-            assert ladder.span == cfg.operating_range
+            ladder = rl.build_ladder(paper_model, cluster)
+            assert ladder.span == rl.OPERATING_RANGE
             for prev, nxt in zip(ladder.segments, ladder.segments[1:]):
                 assert prev.hi == nxt.lo
 
-    def test_boundary_belongs_to_left_segment(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 2, cfg)
+    def test_boundary_belongs_to_left_segment(self, paper_model):
+        ladder = rl.build_ladder(paper_model, 2)
         knee = ladder.breakpoints[0]
         assert ladder.tier_at(knee) == T720
         assert ladder.tier_at(knee + 1e-9) == T1080
 
-    def test_out_of_range_targets_clamp(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 3, cfg)
+    def test_out_of_range_targets_clamp(self, paper_model):
+        ladder = rl.build_ladder(paper_model, 3)
         assert ladder.tier_at(0.01) == ladder.segments[0].tier
         assert ladder.tier_at(50.0) == ladder.segments[-1].tier
 
-    def test_argmax_invariance(self, paper_model, cfg):
+    def test_argmax_invariance(self, paper_model):
         rng = np.random.default_rng(4)
         for cluster in paper_model.clusters:
-            ladder = rl.build_ladder(paper_model, cluster, cfg)
+            ladder = rl.build_ladder(paper_model, cluster)
             for r in rng.uniform(0.2, 6.0, size=300):
                 chosen = rl.eval_cubic(paper_model.model(cluster, ladder.tier_at(r)), float(r))
                 for tier in paper_model.tiers:
@@ -145,7 +145,7 @@ class TestVlThreshold:
     def test_always_lossless_clamps_to_range_minimum(self, cfg):
         model = rl.CubicRD(45.0, 0.01, 0.001, 0.0001, valid_range=(0.2, 6.0))
         found = rl.vl_threshold(model, cfg)
-        assert found.bitrate == cfg.vl_search_range[0] == 0.2
+        assert found.bitrate == rl.VL_SEARCH_RANGE[0] == 0.2
         assert found.clamped
 
     def test_unreachable_quality_is_absent(self, cfg):
@@ -204,26 +204,35 @@ class TestNzsInterval:
 
 class TestBitrateRules:
     def test_vl_cap(self, tables):
-        thresholds = tables.vl
-        capped = rl.recommend_bitrate_vl(6, T1080, 3.0, thresholds)
+        vl_only = rl.Modes(vl=True)
+        _, capped, applied, predicted, _ = tables.decide(6, T1080, 3.0, vl_only)
         assert capped == pytest.approx(0.429, abs=0.005)
-        assert rl.recommend_bitrate_vl(1, T1080, 3.0, thresholds) == 3.0
-        assert rl.recommend_bitrate_vl(4, T1080, 1.0, thresholds) == 1.0
+        assert applied == ("vl",) and predicted == pytest.approx(40.0)
+        assert tables.decide(1, T1080, 3.0, vl_only)[1:3] == (3.0, ())  # cap above target
+        assert tables.decide(4, T1080, 1.0, vl_only)[1:3] == (1.0, ())  # target below cap
 
     def test_nzs_reduction(self, paper_model, cfg, tables):
-        intervals = tables.nzs
+        nzs_only = rl.Modes(nzs=True)
         upper = rl.nzs_interval(paper_model.model(6, T1080), cfg).hi
-        reduced = rl.recommend_bitrate_nzs(6, T1080, upper, intervals)
-        assert reduced == pytest.approx(3.293, abs=0.02)
-        assert rl.recommend_bitrate_nzs(4, T1080, 4.0, intervals) == 4.0
-        assert rl.recommend_bitrate_nzs(5, T1080, 5.5, intervals) == 5.5
+        _, reduced, applied, _, _ = tables.decide(6, T1080, upper, nzs_only)
+        assert reduced == pytest.approx(3.293, abs=0.02) and applied == ("nzs",)
+        assert tables.decide(4, T1080, 4.0, nzs_only)[1:3] == (4.0, ())  # no interval
+        assert tables.decide(5, T1080, 5.5, nzs_only)[1:3] == (5.5, ())  # above the interval
 
-    def test_resolution_rule(self, paper_model, cfg):
-        ladder = rl.build_ladder(paper_model, 3, cfg)
-        assert rl.recommend_resolution(3, 0.2, ladder) == T360
-        assert rl.recommend_resolution(3, 1.0, ladder) == T720
+    def test_resolution_rule(self, tables):
+        trans_size = rl.Modes(trans_size=True)
+        assert tables.decide(3, T1080, 0.2, trans_size)[0] == T360
+        assert tables.decide(3, T1080, 1.0, trans_size)[0] == T720
+        assert tables.decide(6, T1080, 1.0, trans_size)[:3] == (T1080, 1.0, ())
+
+    @pytest.mark.parametrize(
+        "cluster,tier,target",
+        [(7, T1080, 3.0), (1, rl.tier_from_name("1440p"), 3.0), (1, T1080, 0.0),
+         (1, T1080, float("nan"))],
+    )
+    def test_rejects_unknown_cluster_tier_and_bad_target(self, tables, cluster, tier, target):
         with pytest.raises(ValidationError):
-            rl.recommend_resolution(4, 1.0, ladder)
+            tables.decide(cluster, tier, target, rl.Modes(vl=True))
 
 
 def on_curve_observation(model_set, cluster, tier, gop_id="g"):
@@ -438,7 +447,6 @@ class TestAdvise:
 
 class TestSavings:
     def test_reference_vl_scenarios(self, tables):
-        thresholds = tables.vl
         groups = {}
         scenarios = {
             "Test_2": ((6, 6, 6, 6, 6, 4, 1, 1, 1, 1), 3.0),
@@ -446,7 +454,7 @@ class TestSavings:
         }
         for video, (clusters, target) in scenarios.items():
             groups[video] = [
-                (target, rl.recommend_bitrate_vl(c, T1080, target, thresholds))
+                (target, tables.decide(c, T1080, target, rl.Modes(vl=True))[1])
                 for c in clusters
             ]
         report = rl.savings_report(groups)
@@ -457,10 +465,8 @@ class TestSavings:
         assert by_video["Test_10"].saving_percent == pytest.approx(43.73, abs=0.1)
 
     def test_reference_nzs_scenario(self, tables):
-        intervals = tables.nzs
-        rows = [
-            (4.575, rl.recommend_bitrate_nzs(6, T1080, 4.575, intervals)) for _ in range(10)
-        ]
+        proposed = tables.decide(6, T1080, 4.575, rl.Modes(nzs=True))[1]
+        rows = [(4.575, proposed)] * 10
         report = rl.savings_report({"Test_5": rows})
         assert report.total_proposed == pytest.approx(32.93, abs=0.05)
         assert report.saving_percent == pytest.approx(28.022, abs=0.1)

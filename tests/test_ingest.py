@@ -62,6 +62,16 @@ class TestParse:
         with pytest.raises(ValidationError, match="line 2"):
             rl.parse_measurements(text)
 
+    def test_only_newline_ends_a_line(self):
+        # Form feed, \x1c and NEL are whitespace inside a row, not line breaks.
+        text = f"{MEASUREMENT_HEADER}\r\ng,720p,2\x0c,31\r\ng,720p,1\x1c,30\x85\ng,720p\n"
+        with pytest.raises(ParseError, match="line 4: expected 4 comma-separated fields, got 2"):
+            rl.parse_measurements(text)
+        mset = rl.parse_measurements(text.rsplit("g,720p\n", 1)[0])
+        bitrates, psnr = mset.rows(0)
+        assert bitrates.tolist() == [1.0, 2.0]
+        assert psnr.tolist() == [30.0, 31.0]
+
     def test_unknown_resolution(self):
         text = f"{MEASUREMENT_HEADER}\ngop1,700i,1.0,33.0\n"
         with pytest.raises(ParseError, match="line 2"):
@@ -141,7 +151,8 @@ DIFF_GRID = rl.BitrateGrid((0.5, 1.0, 2.0, 4.0))
 GRID_ENDS = (0.5, 4.0)
 # One faulty row each: bad field counts, unknown tiers, non-numeric
 # fields, bitrates <= 0, PSNR outside (0, 100], empty GOP ids, and groups
-# too short for the grid or with a single sample. A conflicting
+# too short for the grid or with a single sample (one of them written with
+# a form feed, which is whitespace, not a line break). A conflicting
 # duplicate ("conflict") is drawn from the file's own rows.
 FAULTS = [
     "g9,720p,1.0", "g9,720p,1.0,30.0,1", "g9",
@@ -151,7 +162,7 @@ FAULTS = [
     "g9,720p,1.0,0", "g9,720p,1.0,100.5", "g9,720p,1.0,nan", "g9,720p,1.0,-inf",
     ",720p,1.0,30.0", " ,720p,1.0,30.0",
     "g9,1440p,1.0,30.0\ng9,1440p,2.0,31.0", "g9,1440p,0.5,30.0\ng9,1440p,1.5,31.0",
-    "g9,480p,1.0,30.0",
+    "g9,480p,1.0,30.0", "g9,0720p,1.0,30.0", "g9,720p,2\x0c,31.0",
     "conflict",
 ]
 NOISE_LINES = ["", "   ", "# comment", "  # indented, comment,with,commas"]
@@ -280,8 +291,8 @@ class TestModelFile:
         trained, _ = rl.train_details(by_tier, grid, k=6, seed=42)
         loaded = rl.load_model(rl.save_model(trained))
         for cluster in trained.clusters:
-            lt = rl.build_ladder(trained, cluster, cfg)
-            ll = rl.build_ladder(loaded, cluster, cfg)
+            lt = rl.build_ladder(trained, cluster)
+            ll = rl.build_ladder(loaded, cluster)
             assert [s.tier for s in lt.segments] == [s.tier for s in ll.segments]
             assert lt.breakpoints == pytest.approx(ll.breakpoints, abs=1e-9)
             for tier in trained.tiers:

@@ -8,8 +8,11 @@ import rdladder as rl
 from rdladder.errors import (
     ConditioningError,
     InsufficientDataError,
+    ParseError,
     ValidationError,
 )
+from rdladder.ingest import MEASUREMENT_HEADER
+from rdladder.service import handle_recommend_request
 
 from helpers import central_difference, curve_points
 
@@ -21,8 +24,27 @@ def test_tier_ordering_and_parse():
     assert max([t720, t360, t1080, t540]) is t1080
     custom = rl.tier_from_name("1440p")
     assert (custom.width, custom.height) == (2560, 1440)
-    with pytest.raises(ValidationError):
-        rl.tier_from_name("4k")
+    for name in ("4k", "1440p\n"):
+        with pytest.raises(ValidationError):
+            rl.tier_from_name(name)
+
+
+@pytest.mark.parametrize("name", ["0720p", "1\u0664\u0664\u0660p"])
+def test_tier_names_must_be_canonical(name, tables):
+    # Another spelling of an existing height would be a second, equal-sized tier.
+    with pytest.raises(ValidationError, match="unknown resolution tier"):
+        rl.tier_from_name(name)
+    csv = f"{MEASUREMENT_HEADER}\ng,720p,1.0,30.0\ng,{name},1.0,30.0\n"
+    with pytest.raises(ParseError, match="line 3: unknown resolution tier"):
+        rl.parse_measurements(csv)
+    gop = {"gop_id": "bad", "tier": name, "points": [[1.0, 30.0]]}
+    status, body = handle_recommend_request(
+        {"target_bitrate": 3.0, "modes": ["vl"], "gops": [gop]}, tables
+    )
+    assert status == 200
+    assert body["recommendations"] == [
+        {"gop_id": "bad", "error": f"unknown resolution tier {name!r}"}
+    ]
 
 
 class TestEval:

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -133,6 +134,17 @@ class TestLiveServer:
         status, raw = post(server, "/v1/recommend", b"{not json")
         assert status == 400
         assert "JSON" in json.loads(raw)["error"]
+
+    def test_negative_content_length_is_answered_without_reading(self, server):
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n{}")
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after answering
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split(b" ")[1] == b"400"
+        assert json.loads(body) == {"error": "Content-Length must be a non-negative integer"}
 
     def test_get_is_structured_405(self, server):
         port = server.server_address[1]

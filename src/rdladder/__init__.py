@@ -11,7 +11,6 @@ quantified bitrate savings.
 from .clustering import (
     BitrateGrid,
     ClusterModelSet,
-    GopAssignment,
     KMeansResult,
     TierVectors,
     kmeans,
@@ -26,9 +25,9 @@ from .decision import (
     DecisionConfig,
     DecisionTables,
     GopError,
-    GopObservation,
     Modes,
     NzsInterval,
+    ObservationBatch,
     Recommendation,
     ResolutionLadder,
     SavingsReport,

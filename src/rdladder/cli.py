@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -24,9 +25,10 @@ from .decision import (
     DecisionConfig,
     DecisionTables,
     GopError,
-    GopObservation,
     Modes,
+    ObservationBatch,
     advice_document,
+    gather_groups,
 )
 from .errors import RDLadderError, ValidationError
 from .ingest import builtin_model, load_model, parse_measurements, save_model
@@ -68,22 +70,28 @@ def _decision_config(args) -> DecisionConfig:
     return DecisionConfig(vl_psnr=args.vl_psnr, nzs_slope=args.nzs_slope)
 
 
-def _observations(mset, model_set):
-    """One observation per GOP, in the order GOPs first appear, taken at
-    the highest tier it was measured at that the model also knows."""
+def _observations(mset, model_set) -> ObservationBatch:
+    """The batch to advise: one observation per GOP, in the order GOPs
+    first appear, taken at the highest tier it was measured at that the
+    model also knows."""
     best: dict[str, int | None] = {}  # gop_id -> group of that tier
     for g, (gop_id, tier) in enumerate(mset.groups):
         current = best.setdefault(gop_id, None)
         if model_set.has_tier(tier) and (current is None or tier > mset.groups[current][1]):
             best[gop_id] = g
-    obs = []
     for gop_id, g in best.items():
         if g is None:
             raise ValidationError(f"gop {gop_id!r}: no measured tier is present in the model")
-        bitrates, psnr = mset.rows(g)
-        points = tuple(zip(bitrates.tolist(), psnr.tolist()))
-        obs.append(GopObservation(gop_id=gop_id, tier=mset.groups[g][1], points=points))
-    return obs
+    groups = list(best.values())
+    rows, offsets = gather_groups(mset.offsets, groups)
+    return ObservationBatch(
+        gop_ids=list(best),
+        tiers=[mset.groups[g][1] for g in groups],
+        offsets=offsets,
+        bitrates=mset.bitrates[rows],
+        psnr=mset.psnr[rows],
+        errors=[None] * len(groups),
+    )
 
 
 def cmd_train(args) -> int:
@@ -323,6 +331,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader went away (`| head`): there is no one left to answer.
+        # Point stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -364,40 +364,22 @@ def train_details(
     return model_set, results
 
 
-@dataclass(frozen=True)
-class GopAssignment:
-    """Result of matching a GOP's measured point(s) to the nearest cluster
-    centroid curve at one tier. ``distance`` is the absolute PSNR residual
-    (RMS over points when several were used)."""
-
-    gop_id: str
-    cluster: int
-    distance: float
-    tier: ResolutionTier
-
-    def __post_init__(self):
-        if self.distance < 0:
-            raise ValidationError("assignment distance must be >= 0")
-        if self.cluster < 1:
-            raise ValidationError("cluster indices are 1-based")
-
-
 def nearest_clusters(
-    coeffs: np.ndarray, points: np.ndarray, counts: np.ndarray
+    coeffs: np.ndarray, bitrates: np.ndarray, psnr: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign a batch of GOPs measured at one tier to the cluster whose
     centroid curve is nearest to their (bitrate, psnr) points, by RMS PSNR
     residual. Ties resolve toward the lower cluster index.
 
-    ``coeffs[j]`` holds cluster j+1's cubic as (c0, c1, c2, c3). ``points``
-    holds every GOP's points, one (bitrate, psnr) row each, GOP after GOP;
-    GOP g has ``counts[g] >= 1`` of them. Returns the 1-based clusters and
-    their RMS residuals, one per GOP.
+    ``coeffs[j]`` holds cluster j+1's cubic as (c0, c1, c2, c3). GOP g owns
+    points ``offsets[g]:offsets[g + 1]`` of ``bitrates`` and ``psnr``, at
+    least one. Returns the 1-based clusters and their RMS residuals, one
+    per GOP.
     """
-    r = points[:, 0:1]
+    r = bitrates[:, None]
     c0, c1, c2, c3 = coeffs.T
-    resid = points[:, 1:2] - (c0 + r * (c1 + r * (c2 + r * c3)))  # [point, cluster]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rms = np.sqrt(np.add.reduceat(resid * resid, starts, axis=0) / counts[:, None])
+    resid = psnr[:, None] - (c0 + r * (c1 + r * (c2 + r * c3)))  # [point, cluster]
+    counts = offsets[1:] - offsets[:-1]
+    rms = np.sqrt(np.add.reduceat(resid * resid, offsets[:-1], axis=0) / counts[:, None])
     best = rms.argmin(axis=1)
     return best + 1, rms[np.arange(len(best)), best]

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterModelSet, GopAssignment, nearest_clusters
+from .clustering import ClusterModelSet, nearest_clusters
 from .errors import IdenticalCurvesError, ValidationError
 from .rd_model import CubicRD, eval_cubic, eval_derivative
 from .tiers import ResolutionTier
@@ -42,10 +42,10 @@ class DecisionConfig:
     nzs_slope: float = 0.1
 
     def __post_init__(self):
-        if self.vl_psnr <= 0:
-            raise ValidationError("vl_psnr must be > 0")
-        if self.nzs_slope <= 0:
-            raise ValidationError("nzs_slope must be > 0")
+        if not (math.isfinite(self.vl_psnr) and self.vl_psnr > 0):
+            raise ValidationError("vl_psnr must be finite and > 0")
+        if not (math.isfinite(self.nzs_slope) and self.nzs_slope > 0):
+            raise ValidationError("nzs_slope must be finite and > 0")
 
 
 def _polish_root(coeffs_desc: np.ndarray, r: float, iters: int = 6) -> float:
@@ -331,14 +331,35 @@ class Modes:
         return tuple(n for n in self._NAMES if getattr(self, n))
 
 
-@dataclass(frozen=True)
-class GopObservation:
-    """Measured (bitrate, psnr) points for one GOP at its native tier;
-    the unit a recommendation is made for."""
+@dataclass(frozen=True, eq=False)
+class ObservationBatch:
+    """The GOPs a recommendation is made for, as columns. GOP ``g`` is
+    ``gop_ids[g]`` at native tier ``tiers[g]`` and owns the unvalidated
+    points ``offsets[g]:offsets[g + 1]`` of ``bitrates`` and ``psnr``.
+    ``errors[g]`` is None, or the message of a GOP rejected before
+    assignment, which owns no points and may have no tier."""
 
-    gop_id: str
-    tier: ResolutionTier
-    points: tuple[tuple[float, float], ...]
+    gop_ids: Sequence
+    tiers: Sequence[Optional[ResolutionTier]]
+    offsets: np.ndarray
+    bitrates: np.ndarray
+    psnr: np.ndarray
+    errors: Sequence[Optional[str]]
+
+    def __len__(self) -> int:
+        return len(self.gop_ids)
+
+
+def gather_groups(offsets: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
+    """For rows grouped so that group g owns ``offsets[g]:offsets[g + 1]``:
+    the rows of ``groups``, group after group, and the offsets of the
+    groups within them."""
+    groups = np.asarray(groups, dtype=int)
+    starts = offsets[groups]
+    counts = offsets[groups + 1] - starts
+    gathered = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.arange(gathered[-1]) + np.repeat(starts - gathered[:-1], counts)
+    return rows, gathered
 
 
 @dataclass(frozen=True)
@@ -365,7 +386,6 @@ class Recommendation:
 @dataclass(frozen=True)
 class VideoSavings:
     video_id: str
-    rows: tuple[tuple[float, float], ...]  # (target, proposed) per GOP
     total_target: float
     total_proposed: float
     saving_percent: float
@@ -399,7 +419,6 @@ def savings_report(groups: Mapping[str, Sequence[tuple[float, float]]]) -> Savin
         videos.append(
             VideoSavings(
                 video_id=video_id,
-                rows=tuple((float(t), float(p)) for t, p in rows),
                 total_target=total_target,
                 total_proposed=total_proposed,
                 saving_percent=100.0 * (total_target - total_proposed) / total_target,
@@ -419,7 +438,7 @@ def savings_report(groups: Mapping[str, Sequence[tuple[float, float]]]) -> Savin
 class GopError:
     """A GOP that could not be answered; it keeps its slot in the batch."""
 
-    gop_id: str
+    gop_id: object  # as given; a malformed request may send a non-string
     error: str
 
 
@@ -499,71 +518,87 @@ class DecisionTables:
         set_field("nzs", MappingProxyType({k: nzs_interval(model_set.model(*k), cfg) for k in keys}))
         set_field("coeffs", coeffs)
 
-    def assign(
-        self, observations: Sequence[GopObservation]
-    ) -> tuple[GopAssignment | GopError, ...]:
+    def assign(self, batch: ObservationBatch) -> tuple[np.ndarray, np.ndarray, list]:
         """Assign each GOP to the cluster whose curve at the GOP's tier is
         nearest to its measured points, by RMS PSNR residual; ties resolve
-        toward the lower cluster index. A GOP with no points, non-finite
-        values, a bitrate <= 0 or a tier the model lacks gets a GopError
-        in its slot."""
-        tier_index = {t: i for i, t in enumerate(self.model_set.tiers)}
-        slots: list[GopAssignment | GopError | None] = [None] * len(observations)
-        by_tier: dict[int, list[int]] = {}
-        for slot, obs in enumerate(observations):
-            error = _assignment_error(obs, tier_index)
-            if error is None:
-                by_tier.setdefault(tier_index[obs.tier], []).append(slot)
-            else:
-                slots[slot] = GopError(obs.gop_id, error)
-        for index, members in by_tier.items():
-            counts = np.array([len(observations[slot].points) for slot in members])
-            points = np.array(
-                [point for slot in members for point in observations[slot].points], dtype=float
-            )
-            clusters, distances = nearest_clusters(self.coeffs[index], points, counts)
-            for slot, cluster, distance in zip(members, clusters.tolist(), distances.tolist()):
-                obs = observations[slot]
-                slots[slot] = GopAssignment(obs.gop_id, cluster, distance, obs.tier)
-        return tuple(slots)
+        toward the lower cluster index. Returns every GOP's 1-based cluster
+        and RMS residual (0 and NaN when unassigned) and the batch's
+        ``errors`` extended with the GOPs that have no points, a tier the
+        model lacks, or a point with a non-finite value or a bitrate <= 0
+        (the first such point names the fault, bitrate before PSNR)."""
+        n = len(batch)
+        errors = list(batch.errors)
+        bitrates, psnr = batch.bitrates, batch.psnr
+        bad_bitrate = ~(np.isfinite(bitrates) & (bitrates > 0))
+        bad_rows = (bad_bitrate | ~np.isfinite(psnr)).nonzero()[0]
+        owners = batch.offsets.searchsorted(bad_rows, side="right") - 1
+        # Walked backwards, each GOP's first bad point is the one kept.
+        first_bad = dict(zip(owners[::-1].tolist(), bad_rows[::-1].tolist()))
 
-    def advise(
-        self, observations: Sequence[GopObservation], target_r: float, modes: Modes
-    ) -> Advice:
+        tier_index = {t: i for i, t in enumerate(self.model_set.tiers)}
+        by_tier: dict[int, list[int]] = {}
+        counts = (batch.offsets[1:] - batch.offsets[:-1]).tolist()
+        for g, (error, tier, count) in enumerate(zip(batch.errors, batch.tiers, counts)):
+            if error is not None:
+                continue
+            index = tier_index.get(tier)
+            if not count:
+                errors[g] = "assignment needs at least one (bitrate, psnr) point"
+            elif index is None:
+                errors[g] = f"model has no tier {tier}"
+            elif g in first_bad:
+                row = first_bad[g]
+                errors[g] = (
+                    f"bitrate must be finite and > 0, got {bitrates[row].item()}"
+                    if bad_bitrate[row]
+                    else "psnr must be finite"
+                )
+            else:
+                by_tier.setdefault(index, []).append(g)
+
+        clusters, rms = np.zeros(n, dtype=int), np.full(n, np.nan)
+        for index, members in by_tier.items():
+            rows, offsets = gather_groups(batch.offsets, members)
+            clusters[members], rms[members] = nearest_clusters(
+                self.coeffs[index], bitrates[rows], psnr[rows], offsets
+            )
+        return clusters, rms, errors
+
+    def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> Advice:
         """The decision pipeline for a batch of GOPs: assign each a
         cluster from its measured points, pick a tier (the ladder's when
         trans-sizing is on, the native one otherwise), then apply the
         visually-lossless cap and the near-zero-slope reduction to the
         target bitrate, in that order. A GOP that cannot be answered gets
-        a GopError in its slot; an invalid target fails every slot."""
+        a GopError in its slot."""
         if not modes.any_enabled:
             raise ValidationError("at least one mode must be enabled")
         if not (math.isfinite(target_r) and target_r > 0):
-            error = "target bitrate must be finite and > 0"
-            return Advice(tuple(GopError(obs.gop_id, error) for obs in observations), None)
-
+            raise ValidationError("target bitrate must be finite and > 0")
+        clusters, rms, errors = self.assign(batch)
         decisions: dict[tuple[int, ResolutionTier], tuple] = {}
         results: list[Recommendation | GopError] = []
-        for obs, assignment in zip(observations, self.assign(observations)):
-            if isinstance(assignment, GopError):
-                results.append(assignment)
+        for gop_id, native, cluster, distance, error in zip(
+            batch.gop_ids, batch.tiers, clusters.tolist(), rms.tolist(), errors
+        ):
+            if error is not None:
+                results.append(GopError(gop_id, error))
                 continue
-            key = (assignment.cluster, obs.tier)
+            key = (cluster, native)
             if key not in decisions:
-                decisions[key] = self.decide(assignment.cluster, obs.tier, target_r, modes)
+                *decision, notes = self.decide(cluster, native, target_r, modes)
+                decisions[key] = (*decision, "".join(f"; {note}" for note in notes))
             tier, bitrate, applied, predicted, notes = decisions[key]
             results.append(
                 Recommendation(
-                    gop_id=obs.gop_id,
-                    cluster=assignment.cluster,
+                    gop_id=gop_id,
+                    cluster=cluster,
                     tier=tier,
                     target_bitrate=target_r,
                     proposed_bitrate=bitrate,
                     modes_applied=applied,
                     predicted_psnr=predicted,
-                    rationale="; ".join(
-                        [f"cluster {assignment.cluster} (rms {assignment.distance:.3f} dB)", *notes]
-                    ),
+                    rationale=f"cluster {cluster} (rms {distance:.3f} dB){notes}",
                 )
             )
         pairs = [
@@ -612,18 +647,3 @@ class DecisionTables:
         if not final_model.covers(bitrate):
             notes.append("prediction extrapolates beyond the fitted bitrate span")
         return tier, bitrate, tuple(applied), predicted, tuple(notes)
-
-
-def _assignment_error(
-    obs: GopObservation, tier_index: Mapping[ResolutionTier, int]
-) -> Optional[str]:
-    if not obs.points:
-        return "assignment needs at least one (bitrate, psnr) point"
-    if obs.tier not in tier_index:
-        return f"model has no tier {obs.tier}"
-    for bitrate, psnr in obs.points:
-        if not (math.isfinite(bitrate) and bitrate > 0):
-            return f"bitrate must be finite and > 0, got {bitrate}"
-        if not math.isfinite(psnr):
-            return "psnr must be finite"
-    return None

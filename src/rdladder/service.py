@@ -22,25 +22,39 @@ slot; the savings summary covers the answered GOPs (null if none).
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
 
 from .clustering import ClusterModelSet
 from .decision import (
     DecisionConfig,
     DecisionTables,
-    GopError,
-    GopObservation,
     Modes,
+    ObservationBatch,
     advice_document,
 )
-from .errors import RDLadderError, ValidationError
-from .tiers import tier_from_name
+from .errors import ValidationError
+from .tiers import ResolutionTier, tier_from_name
 
 RECOMMEND_PATH = "/v1/recommend"
 
 
-def _parse_observation(entry, index: int) -> GopObservation:
+def _number(value) -> float | None:
+    """A JSON number as a float (infinite for an integer too large for
+    one, as json reads 1e400); None for anything else, bools included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _gop_fields(entry, index: int) -> tuple[ResolutionTier, list[tuple[float, float]]]:
+    """One request GOP's tier and (bitrate, psnr) points; ValidationError
+    names what is malformed."""
     if not isinstance(entry, dict):
         raise ValidationError(f"gops[{index}] must be an object")
     gop_id = entry.get("gop_id")
@@ -53,12 +67,43 @@ def _parse_observation(entry, index: int) -> GopObservation:
     points = entry.get("points")
     if not isinstance(points, list) or not points:
         raise ValidationError(f"gops[{index}]: points must be a non-empty list")
-    parsed = []
+    pairs = []
     for p in points:
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair")
-        parsed.append((float(p[0]), float(p[1])))
-    return GopObservation(gop_id=gop_id, tier=tier, points=tuple(parsed))
+        pair = (_number(p[0]), _number(p[1]))
+        if None in pair:
+            raise ValidationError(
+                f"gops[{index}]: each point must be a [bitrate, psnr] pair of numbers"
+            )
+        pairs.append(pair)
+    return tier, pairs
+
+
+def _observation_batch(gops: list) -> ObservationBatch:
+    """The request's GOPs as one batch, in request order. A malformed
+    entry gets its message in ``errors``, no points and no tier, and
+    keeps its ``gop_id`` as given ("" when it has none)."""
+    tiers, errors, offsets, points = [], [], [0], []
+    for index, entry in enumerate(gops):
+        try:
+            tier, pairs = _gop_fields(entry, index)
+            error = None
+        except ValidationError as exc:
+            tier, pairs, error = None, [], str(exc)
+        tiers.append(tier)
+        errors.append(error)
+        points += pairs
+        offsets.append(len(points))
+    bitrates, psnr = np.array(points, dtype=float).reshape(-1, 2).T
+    return ObservationBatch(
+        gop_ids=[entry.get("gop_id", "") if isinstance(entry, dict) else "" for entry in gops],
+        tiers=tiers,
+        offsets=np.array(offsets),
+        bitrates=bitrates,
+        psnr=psnr,
+        errors=errors,
+    )
 
 
 def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict]:
@@ -67,9 +112,8 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     only moves bytes."""
     if not isinstance(payload, dict):
         return 400, {"error": "request body must be a JSON object"}
-    try:
-        target = float(payload.get("target_bitrate"))
-    except (TypeError, ValueError):
+    target = _number(payload.get("target_bitrate"))
+    if target is None:
         return 400, {"error": "target_bitrate must be a number"}
     modes_field = payload.get("modes", [])
     if not isinstance(modes_field, list) or not all(isinstance(m, str) for m in modes_field):
@@ -83,20 +127,9 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     gops = payload.get("gops")
     if not isinstance(gops, list) or not gops:
         return 400, {"error": "gops must be a non-empty list"}
-    if not (target > 0):
-        return 400, {"error": "target_bitrate must be > 0"}
-
-    slots: list[GopObservation | GopError] = []
-    for index, entry in enumerate(gops):
-        try:
-            slots.append(_parse_observation(entry, index))
-        except (RDLadderError, TypeError, ValueError) as exc:
-            gop_id = entry.get("gop_id", "") if isinstance(entry, dict) else ""
-            slots.append(GopError(gop_id, str(exc)))
-    advice = tables.advise([s for s in slots if isinstance(s, GopObservation)], target, modes)
-    answers = iter(advice.results)
-    results = tuple(s if isinstance(s, GopError) else next(answers) for s in slots)
-    return 200, advice_document(replace(advice, results=results))
+    if not (math.isfinite(target) and target > 0):
+        return 400, {"error": "target_bitrate must be finite and > 0"}
+    return 200, advice_document(tables.advise(_observation_batch(gops), target, modes))
 
 
 class _AdvisoryServer(ThreadingHTTPServer):

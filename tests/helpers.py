@@ -8,11 +8,12 @@ with the code under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import rdladder as rl
+from rdladder.decision import advice_document
 from rdladder.errors import (
     ConflictError,
     CoverageError,
@@ -221,10 +222,26 @@ def random_cubics(count: int, seed: int) -> list[rl.CubicRD]:
     return out
 
 
-def scalar_assign(points, model_set, tier, gop_id: str = "") -> rl.GopAssignment:
-    """Reference cluster assignment, one GOP at a time: the RMS PSNR
-    residual to each cluster curve by scalar evaluation, ties toward the
-    lower cluster index."""
+def observation_batch(gops, errors=None) -> rl.ObservationBatch:
+    """A batch of (gop_id, tier, points) GOPs, points as given, with
+    ``errors`` (default: none) as rejected before assignment."""
+    counts = [len(points) for _, _, points in gops]
+    flat = [point for _, _, points in gops for point in points]
+    bitrates, psnr = np.array(flat, dtype=float).reshape(-1, 2).T
+    return rl.ObservationBatch(
+        gop_ids=[gop_id for gop_id, _, _ in gops],
+        tiers=[tier for _, tier, _ in gops],
+        offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
+        bitrates=bitrates,
+        psnr=psnr,
+        errors=errors or [None] * len(gops),
+    )
+
+
+def scalar_assign(points, model_set, tier) -> tuple[int, float]:
+    """Reference cluster assignment, one GOP at a time: the cluster with
+    the smallest RMS PSNR residual by scalar evaluation (ties toward the
+    lower cluster index) and that residual."""
     if not points:
         raise ValidationError("assignment needs at least one (bitrate, psnr) point")
     if not model_set.has_tier(tier):
@@ -242,31 +259,25 @@ def scalar_assign(points, model_set, tier, gop_id: str = "") -> rl.GopAssignment
 
     distances = {c: rms(c) for c in model_set.clusters}
     best = min(model_set.clusters, key=lambda c: (distances[c], c))
-    return rl.GopAssignment(gop_id=gop_id, cluster=best, distance=distances[best], tier=tier)
+    return best, distances[best]
 
 
-def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recommendation:
+def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) -> rl.Recommendation:
     """Reference decision pipeline for one GOP, deriving the one ladder,
     threshold and interval it needs on the fly."""
-    if not modes.any_enabled:
-        raise ValidationError("at least one mode must be enabled")
-    if not (math.isfinite(target_r) and target_r > 0):
-        raise ValidationError("target bitrate must be finite and > 0")
-
-    assignment = scalar_assign(observation.points, model_set, observation.tier, observation.gop_id)
-    cluster = assignment.cluster
-    notes = [f"cluster {cluster} (rms {assignment.distance:.3f} dB)"]
+    cluster, distance = scalar_assign(points, model_set, native)
+    notes = [f"cluster {cluster} (rms {distance:.3f} dB)"]
     applied = []
 
-    tier = observation.tier
+    tier = native
     if modes.trans_size:
         lo, hi = rl.OPERATING_RANGE
         if not (lo <= target_r <= hi):
             notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
         tier = rl.build_ladder(model_set, cluster).tier_at(target_r)
-        if tier != observation.tier:
+        if tier != native:
             applied.append("trans_size")
-            notes.append(f"trans-size {observation.tier} -> {tier}")
+            notes.append(f"trans-size {native} -> {tier}")
         else:
             notes.append(f"keep {tier}")
 
@@ -288,7 +299,7 @@ def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recomme
         notes.append("prediction extrapolates beyond the fitted bitrate span")
 
     return rl.Recommendation(
-        gop_id=observation.gop_id,
+        gop_id=gop_id,
         cluster=cluster,
         tier=tier,
         target_bitrate=target_r,
@@ -299,16 +310,87 @@ def scalar_recommend(observation, model_set, cfg, modes, target_r) -> rl.Recomme
     )
 
 
-def scalar_advise(observations, model_set, cfg, modes, target_r) -> rl.Advice:
+def scalar_advise(batch, model_set, cfg, modes, target_r) -> rl.Advice:
     """Reference batch: ``scalar_recommend`` per GOP, an error slot for
-    each GOP it rejects, savings over the answered GOPs."""
+    each GOP the batch or it rejects, savings over the answered GOPs."""
+    if not modes.any_enabled:
+        raise ValidationError("at least one mode must be enabled")
+    if not (math.isfinite(target_r) and target_r > 0):
+        raise ValidationError("target bitrate must be finite and > 0")
     results = []
-    for obs in observations:
+    for g, (gop_id, tier, error) in enumerate(zip(batch.gop_ids, batch.tiers, batch.errors)):
+        lo, hi = batch.offsets[g], batch.offsets[g + 1]
+        points = list(zip(batch.bitrates[lo:hi].tolist(), batch.psnr[lo:hi].tolist()))
         try:
-            results.append(scalar_recommend(obs, model_set, cfg, modes, target_r))
+            if error is not None:
+                raise ValidationError(error)
+            results.append(scalar_recommend(gop_id, tier, points, model_set, cfg, modes, target_r))
         except RDLadderError as exc:
-            results.append(rl.GopError(obs.gop_id, str(exc)))
+            results.append(rl.GopError(gop_id, str(exc)))
     pairs = [
         (r.target_bitrate, r.proposed_bitrate) for r in results if isinstance(r, rl.Recommendation)
     ]
     return rl.Advice(tuple(results), rl.savings_report({"all": pairs}) if pairs else None)
+
+
+def _reference_parse_gop(entry, index: int):
+    if not isinstance(entry, dict):
+        raise ValidationError(f"gops[{index}] must be an object")
+    gop_id = entry.get("gop_id")
+    if not isinstance(gop_id, str) or not gop_id:
+        raise ValidationError(f"gops[{index}]: gop_id must be a non-empty string")
+    tier_name = entry.get("tier")
+    if not isinstance(tier_name, str):
+        raise ValidationError(f"gops[{index}]: tier must be a string")
+    tier = rl.tier_from_name(tier_name)
+    points = entry.get("points")
+    if not isinstance(points, list) or not points:
+        raise ValidationError(f"gops[{index}]: points must be a non-empty list")
+    parsed = []
+    for p in points:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
+            raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair")
+        parsed.append((float(p[0]), float(p[1])))
+    return gop_id, tier, tuple(parsed)
+
+
+def reference_handle(payload, tables) -> tuple[int, dict]:
+    """Reference request handling in two phases: parse each GOP on its
+    own, advise the parsed ones as one batch, then merge the answers back
+    between the GOPs that failed to parse. It converts with ``float()``,
+    so it also takes bools and numeric strings, and it answers a NaN or
+    non-positive target with "must be > 0"; an infinite target reaches
+    ``advise``, which raises."""
+    if not isinstance(payload, dict):
+        return 400, {"error": "request body must be a JSON object"}
+    try:
+        target = float(payload.get("target_bitrate"))
+    except (TypeError, ValueError):
+        return 400, {"error": "target_bitrate must be a number"}
+    modes_field = payload.get("modes", [])
+    if not isinstance(modes_field, list) or not all(isinstance(m, str) for m in modes_field):
+        return 400, {"error": "modes must be a list of strings"}
+    try:
+        modes = rl.Modes.parse(",".join(modes_field))
+    except ValidationError as exc:
+        return 400, {"error": str(exc)}
+    if not modes.any_enabled:
+        return 400, {"error": "at least one mode must be enabled"}
+    gops = payload.get("gops")
+    if not isinstance(gops, list) or not gops:
+        return 400, {"error": "gops must be a non-empty list"}
+    if not (target > 0):
+        return 400, {"error": "target_bitrate must be > 0"}
+
+    slots = []
+    for index, entry in enumerate(gops):
+        try:
+            slots.append(_reference_parse_gop(entry, index))
+        except (RDLadderError, TypeError, ValueError) as exc:
+            gop_id = entry.get("gop_id", "") if isinstance(entry, dict) else ""
+            slots.append(rl.GopError(gop_id, str(exc)))
+    parsed = [s for s in slots if not isinstance(s, rl.GopError)]
+    advice = tables.advise(observation_batch(parsed), target, modes)
+    answers = iter(advice.results)
+    results = tuple(s if isinstance(s, rl.GopError) else next(answers) for s in slots)
+    return 200, advice_document(replace(advice, results=results))

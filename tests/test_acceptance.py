@@ -11,7 +11,13 @@ import rdladder as rl
 from rdladder import cli
 from rdladder.verify import DISCREPANCY, verify_rows
 
-from helpers import bisection_roots, central_difference, grouped_vectors, random_cubics
+from helpers import (
+    bisection_roots,
+    central_difference,
+    grouped_vectors,
+    observation_batch,
+    random_cubics,
+)
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -252,11 +258,12 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     ]
     tables = rl.DecisionTables(model, config)
     sweep = np.linspace(0.25, 6.0, 100)
-    observations = []
+    gops = []
     for cluster in model.clusters:
         curve = model.model(cluster, T1080)
         points = tuple((float(r), rl.eval_cubic(curve, float(r))) for r in (0.5, 2.0, 5.0))
-        observations.append(rl.GopObservation(gop_id=f"c{cluster}", tier=T1080, points=points))
+        gops.append((f"c{cluster}", T1080, points))
+    observations = observation_batch(gops)
     for target in sweep:
         for modes in combos:
             for rec in tables.advise(observations, float(target), modes).results:

@@ -102,6 +102,15 @@ class TestVerifyPaper:
         statuses = {row["status"] for row in rows}
         assert statuses == {"pass", "discrepancy"}
 
+    @pytest.mark.parametrize("flag", ["--vl-psnr", "--nzs-slope"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_1(self, flag, value, capsys):
+        rc = cli.main(["verify-paper", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        field = flag[2:].replace("-", "_")
+        assert captured.err == f"error: {field} must be finite and > 0\n"
+
     def test_failure_exit_code(self, monkeypatch, capsys):
         fake = [
             VerifyRow("knee", "made-up", "1.0", "2.0", FAIL),
@@ -225,6 +234,16 @@ class TestRecommend:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_vl_psnr_exits_1(self, test2_file, value, capsys):
+        rc = cli.main([
+            "recommend", "--paper-model", str(test2_file), "--target-bitrate", "3.0",
+            f"--vl-psnr={value}",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: vl_psnr must be finite and > 0\n"
+
     def test_unknown_mode_exits_1(self, test2_file, capsys):
         rc = cli.main([
             "recommend", "--paper-model", str(test2_file),
@@ -333,3 +352,28 @@ def test_serve_prints_address_through_a_pipe():
         proc.stdout.close()
     assert line.startswith("advisory endpoint on http://127.0.0.1:")
     assert line.rstrip().endswith("/v1/recommend")
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # 8000 GOPs print about 300 kB of CSV, far more than a pipe buffers, so
+    # the command is still writing when its reader goes away after one line.
+    rows = "".join(f"g{i},1080p,3.0,45.0\n" for i in range(8000))
+    path = tmp_path / "many.csv"
+    path.write_text("gop_id,resolution,bitrate_mbps,psnr_db\n" + rows)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rdladder", "recommend", "--paper-model", str(path),
+         "--target-bitrate", "3", "--format", "csv"],
+        env=package_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"gop_id,cluster,")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert stderr == b""

@@ -11,7 +11,7 @@ from rdladder.errors import (
 )
 from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grouped_vectors
+from helpers import grouped_vectors, observation_batch
 
 
 def measurements(gop_id, tier, pairs):
@@ -227,45 +227,43 @@ class TestTrain:
             train_details(by_tier, grid, k=6, seed=42)
 
 
-def assign_one(tables, points, tier, gop_id=""):
-    (result,) = tables.assign([rl.GopObservation(gop_id, tier, tuple(points))])
-    return result
+def assign_one(tables, points, tier):
+    """(cluster, rms, error) of one GOP."""
+    clusters, rms, errors = tables.assign(observation_batch([("g", tier, points)]))
+    return clusters.item(), rms.item(), errors[0]
 
 
 class TestAssign:
     def test_point_on_curve(self, paper_model, tables, t1080):
         q = rl.eval_cubic(paper_model.model(3, t1080), 5.018)
-        assignment = assign_one(tables, [(5.018, q)], t1080, gop_id="g")
-        assert assignment.cluster == 3 and assignment.gop_id == "g"
-        assert assignment.distance < 1e-9
+        cluster, rms, error = assign_one(tables, [(5.018, q)], t1080)
+        assert cluster == 3 and error is None
+        assert rms < 1e-9
         # The reference threshold bitrate evaluates to 40 dB on this curve.
         assert q == pytest.approx(40.0, abs=0.01)
 
     def test_reference_test_video(self, tables, t1080):
         # A published test video's (bitrate, PSNR) pair sits nearest the
         # cluster-6 centroid (cluster 5 is ~5.9 dB away, cluster 6 ~1.7).
-        assignment = assign_one(tables, [(5.617, 54.665)], t1080)
-        assert assignment.cluster == 6
-        assert assignment.distance == pytest.approx(1.725, abs=0.01)
+        cluster, rms, _ = assign_one(tables, [(5.617, 54.665)], t1080)
+        assert cluster == 6
+        assert rms == pytest.approx(1.725, abs=0.01)
 
     def test_tie_breaks_toward_lower_cluster(self, paper_model, tables, t1080):
         q1 = rl.eval_cubic(paper_model.model(1, t1080), 3.0)
         q2 = rl.eval_cubic(paper_model.model(2, t1080), 3.0)
-        assignment = assign_one(tables, [(3.0, (q1 + q2) / 2)], t1080)
-        assert assignment.cluster == 1
+        assert assign_one(tables, [(3.0, (q1 + q2) / 2)], t1080)[0] == 1
 
     def test_multi_reduces_to_single_for_one_point(self, tables, t1080):
         point = (2.5, 41.0)
-        single = assign_one(tables, [point], t1080)
-        multi = assign_one(tables, [point, point], t1080)
-        assert (single.cluster, single.distance) == (multi.cluster, multi.distance)
+        assert assign_one(tables, [point], t1080) == assign_one(tables, [point, point], t1080)
 
     def test_multi_on_curve(self, paper_model, tables, t720):
         model = paper_model.model(2, t720)
         points = [(float(b), rl.eval_cubic(model, float(b))) for b in np.linspace(0.3, 5.7, 10)]
-        assignment = assign_one(tables, points, t720)
-        assert assignment.cluster == 2
-        assert assignment.distance < 1e-9
+        cluster, rms, _ = assign_one(tables, points, t720)
+        assert cluster == 2
+        assert rms < 1e-9
 
     def test_multi_straddling_ties_low(self, paper_model, tables, t1080):
         m1, m2 = paper_model.model(1, t1080), paper_model.model(2, t1080)
@@ -273,8 +271,7 @@ class TestAssign:
         for r in (1.0, 4.0):
             mid = (rl.eval_cubic(m1, r) + rl.eval_cubic(m2, r)) / 2
             points.append((r, mid))
-        assignment = assign_one(tables, points, t1080)
-        assert assignment.cluster == 1
+        assert assign_one(tables, points, t1080)[0] == 1
 
     def test_errors(self, tables, t1080):
         cases = [
@@ -282,9 +279,34 @@ class TestAssign:
             ([(0.0, 30.0)], t1080, "bitrate must be finite and > 0, got 0.0"),
             ([(1.0, 30.0)], rl.tier_from_name("1440p"), "model has no tier 1440p"),
             ([(1.0, 30.0), (2.0, float("nan"))], t1080, "psnr must be finite"),
+            # The first bad point names the fault; within it, the bitrate.
+            ([(1.0, 30.0), (-1.0, float("nan")), (0.0, 30.0)], t1080,
+             "bitrate must be finite and > 0, got -1.0"),
+            ([(1.0, float("inf")), (float("inf"), 30.0)], t1080, "psnr must be finite"),
+            ([(float("nan"), 30.0)], t1080, "bitrate must be finite and > 0, got nan"),
+            # An empty GOP or an absent tier is reported before any point.
+            ([(0.0, 30.0)], rl.tier_from_name("1440p"), "model has no tier 1440p"),
+            ([], rl.tier_from_name("1440p"), "assignment needs at least one (bitrate, psnr) point"),
         ]
         for points, tier, message in cases:
-            assert assign_one(tables, points, tier, gop_id="g") == rl.GopError("g", message)
+            cluster, rms, error = assign_one(tables, points, tier)
+            assert error == message
+            assert cluster == 0 and np.isnan(rms)
+
+    def test_batch_keeps_earlier_errors_and_order(self, paper_model, tables, t1080, t720):
+        # GOPs in mixed tier order, one rejected before assignment and one
+        # with a bad point: each answer stays in its own slot.
+        on = {c: [(r, rl.eval_cubic(paper_model.model(c, t), r)) for r in (1.0, 3.0)]
+              for c, t in ((2, t720), (5, t1080))}
+        batch = observation_batch(
+            [("a", t720, on[2]), ("b", t1080, on[5]), ("c", t1080, [(1.0, float("nan"))]),
+             ("d", t720, on[2]), ("e", None, [])],
+            errors=[None] * 4 + ["rejected"],
+        )
+        clusters, rms, errors = tables.assign(batch)
+        assert clusters.tolist() == [2, 5, 0, 2, 0]
+        assert errors == [None, None, "psnr must be finite", None, "rejected"]
+        assert rms[[0, 1, 3]].max() < 1e-9
 
 
 def test_model_set_must_be_complete(paper_model):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import rdladder as rl
 from rdladder.errors import IdenticalCurvesError, ValidationError
 
-from helpers import bisection_roots, random_cubics, scalar_advise
+from helpers import bisection_roots, observation_batch, random_cubics, scalar_advise
 
 T1080 = rl.tier_from_name("1080p")
 T720 = rl.tier_from_name("720p")
@@ -202,6 +203,13 @@ class TestNzsInterval:
         assert not interval.clamped_lo
 
 
+@pytest.mark.parametrize("field", ["vl_psnr", "nzs_slope"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_decision_config_requires_finite_positive_values(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
+        rl.DecisionConfig(**{field: value})
+
+
 class TestBitrateRules:
     def test_vl_cap(self, tables):
         vl_only = rl.Modes(vl=True)
@@ -236,13 +244,14 @@ class TestBitrateRules:
 
 
 def on_curve_observation(model_set, cluster, tier, gop_id="g"):
+    """One (gop_id, tier, points) GOP whose points lie on a cluster's curve."""
     model = model_set.model(cluster, tier)
     points = tuple((float(b), rl.eval_cubic(model, float(b))) for b in (0.5, 2.0, 4.0, 6.0))
-    return rl.GopObservation(gop_id=gop_id, tier=tier, points=points)
+    return gop_id, tier, points
 
 
 def advise_one(tables, obs, modes, target):
-    (result,) = tables.advise([obs], target, modes).results
+    (result,) = tables.advise(observation_batch([obs]), target, modes).results
     return result
 
 
@@ -279,14 +288,12 @@ class TestRecommend:
         assert combined.proposed_bitrate == vl_only.proposed_bitrate
 
     def test_requires_a_mode(self, paper_model, tables):
-        obs = on_curve_observation(paper_model, 6, T1080)
-        with pytest.raises(ValidationError):
-            tables.advise([obs], 3.0, rl.Modes())
+        batch = observation_batch([on_curve_observation(paper_model, 6, T1080)] * 2)
+        with pytest.raises(ValidationError, match="at least one mode"):
+            tables.advise(batch, 3.0, rl.Modes())
         for bad_target in (0.0, -1.0, float("nan"), float("inf")):
-            advice = tables.advise([obs, obs], bad_target, rl.Modes(vl=True))
-            error = rl.GopError("g", "target bitrate must be finite and > 0")
-            assert advice.results == (error, error)
-            assert advice.savings is None
+            with pytest.raises(ValidationError, match="target bitrate must be finite and > 0"):
+                tables.advise(batch, bad_target, rl.Modes(vl=True))
 
     def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, tables):
         combos = [
@@ -294,10 +301,10 @@ class TestRecommend:
             for flags in itertools.product((False, True), repeat=3)
             if any(flags)
         ]
-        observations = [
+        observations = observation_batch([
             on_curve_observation(paper_model, cluster, T1080, gop_id=f"c{cluster}")
             for cluster in paper_model.clusters
-        ]
+        ])
         targets = np.linspace(0.21, 6.5, 100)
         for target in targets:
             proposed = {}
@@ -399,8 +406,8 @@ def gop_batches(draw):
                 points = []
             else:
                 tier = draw(st.sampled_from(absent))
-        observations.append(rl.GopObservation(f"g{index}", tier, tuple(points)))
-    return model_set, observations
+        observations.append((f"g{index}", tier, tuple(points)))
+    return model_set, observation_batch(observations)
 
 
 def decision_fields(result):
@@ -423,10 +430,18 @@ class TestAdvise:
         model_set, observations = batch
         cfg = rl.DecisionConfig()
         modes = rl.Modes(*modes)
-        got = rl.DecisionTables(model_set, cfg).advise(observations, target, modes)
-        want = scalar_advise(observations, model_set, cfg, modes, target)
-        assert list(map(decision_fields, got.results)) == list(map(decision_fields, want.results))
-        assert got.savings == want.savings
+
+        def outcome(advise, *args):
+            try:
+                advice = advise(*args)
+            except ValidationError as exc:  # an invalid target fails the whole batch
+                return str(exc)
+            return list(map(decision_fields, advice.results)), advice.savings
+
+        got = outcome(rl.DecisionTables(model_set, cfg).advise, observations, target, modes)
+        want = outcome(scalar_advise, observations, model_set, cfg, modes, target)
+        assert got == want
+        assert isinstance(got, str) == (not (math.isfinite(target) and target > 0))
 
     def test_exact_residual_tie_goes_to_lower_cluster(self):
         base = rl.CubicRD(30.0, 4.0, -0.5, 0.03125, valid_range=(0.2, 6.0))
@@ -440,9 +455,9 @@ class TestAdvise:
                                        models=models, seed=0, provenance="tie")
         q1, q3 = rl.eval_cubic(base, 1.0), rl.eval_cubic(base, 3.0)
         assert (q1, q3) == (rl.eval_cubic(crossing, 1.0), rl.eval_cubic(crossing, 3.0))
-        obs = rl.GopObservation("g", T1080, ((1.0, q1 + 0.5), (3.0, q3 - 0.25)))
-        (assignment,) = rl.DecisionTables(model_set, rl.DecisionConfig()).assign([obs])
-        assert assignment.cluster == 1
+        batch = observation_batch([("g", T1080, ((1.0, q1 + 0.5), (3.0, q3 - 0.25)))])
+        clusters, _, errors = rl.DecisionTables(model_set, rl.DecisionConfig()).assign(batch)
+        assert clusters.tolist() == [1] and errors == [None]
 
 
 class TestSavings:
@@ -472,12 +487,15 @@ class TestSavings:
         assert report.saving_percent == pytest.approx(28.022, abs=0.1)
 
     def test_totals_are_column_sums(self):
-        report = rl.savings_report({"a": [(3.0, 1.5), (2.0, 2.0)], "b": [(4.0, 1.0)]})
+        groups = {"a": [(3.0, 1.5), (2.0, 2.0)], "b": [(4.0, 1.0)]}
+        report = rl.savings_report(groups)
         assert report.total_target == pytest.approx(9.0, abs=1e-9)
         assert report.total_proposed == pytest.approx(4.5, abs=1e-9)
         assert 0 <= report.saving_percent < 100
         for video in report.videos:
-            assert video.total_target == pytest.approx(sum(t for t, _ in video.rows), abs=1e-9)
+            rows = groups[video.video_id]
+            assert video.total_target == pytest.approx(sum(t for t, _ in rows), abs=1e-9)
+            assert video.total_proposed == pytest.approx(sum(p for _, p in rows), abs=1e-9)
 
     def test_errors(self):
         with pytest.raises(ValidationError):
@@ -516,7 +534,9 @@ def test_label_permutation_leaves_recommendations_unchanged(paper_model, cfg):
     permutation = {1: 4, 2: 6, 3: 1, 4: 5, 5: 3, 6: 2}
     shuffled = rl.DecisionTables(permuted_model_set(paper_model, permutation), cfg)
     modes = rl.Modes(trans_size=True, vl=True, nzs=True)
-    observations = [on_curve_observation(paper_model, c, T1080) for c in paper_model.clusters]
+    observations = observation_batch(
+        [on_curve_observation(paper_model, c, T1080) for c in paper_model.clusters]
+    )
     originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes).results
     renamed_all = shuffled.advise(observations, 3.0, modes).results
     for original, renamed in zip(originals, renamed_all):

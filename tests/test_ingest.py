@@ -139,10 +139,10 @@ class TestParse:
         assert vectors.psnr[0].tolist() == pytest.approx(
             [rl.eval_cubic(model, b) for b in grid.bitrates], abs=1e-12
         )
-        bitrates, psnr = mset.rows(0)
-        obs = rl.GopObservation("g", t1080, tuple(zip(bitrates.tolist(), psnr.tolist())))
-        (assignment,) = tables.assign([obs])
-        assert assignment.cluster == 4
+        batch = rl.ObservationBatch(gop_ids=["g"], tiers=[t1080], offsets=mset.offsets,
+                                    bitrates=mset.bitrates, psnr=mset.psnr, errors=[None])
+        clusters, _, errors = tables.assign(batch)
+        assert clusters.tolist() == [4] and errors == [None]
 
 
 # Bitrates every generated group measures, so it covers DIFF_GRID unless a

@@ -5,10 +5,15 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
 from rdladder.service import handle_recommend_request, make_server
+
+from helpers import reference_handle
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -59,6 +64,45 @@ class TestHandleRequest:
         payload["target_bitrate"] = "three"
         status, _ = handle_recommend_request(payload, tables)
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "target",
+        [0, -1.0, float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")],
+    )
+    def test_target_must_be_finite_and_positive(self, paper_model, tables, target):
+        payload = request_payload(paper_model)
+        payload["target_bitrate"] = target
+        assert handle_recommend_request(payload, tables) == (
+            400, {"error": "target_bitrate must be finite and > 0"}
+        )
+
+    @pytest.mark.parametrize("target", [True, False, "3.0", "three", None, [3.0]])
+    def test_target_must_be_a_json_number(self, paper_model, tables, target):
+        payload = request_payload(paper_model)
+        payload["target_bitrate"] = target
+        assert handle_recommend_request(payload, tables) == (
+            400, {"error": "target_bitrate must be a number"}
+        )
+
+    @pytest.mark.parametrize("coordinate", [True, False, "40", "x", None, [40.0], {"v": 40.0}])
+    def test_point_coordinates_must_be_json_numbers(self, paper_model, tables, coordinate):
+        for position in (0, 1):
+            payload = request_payload(paper_model, clusters=(6, 5))
+            payload["gops"][1]["points"][1][position] = coordinate
+            status, body = handle_recommend_request(payload, tables)
+            assert status == 200
+            assert body["recommendations"][0]["cluster"] == 6
+            assert body["recommendations"][1] == {
+                "gop_id": "g1",
+                "error": "gops[1]: each point must be a [bitrate, psnr] pair of numbers",
+            }
+
+    def test_integer_too_large_for_a_float_is_infinite(self, paper_model, tables):
+        payload = request_payload(paper_model)
+        payload["gops"][0]["points"][0][0] = -10**400
+        status, body = handle_recommend_request(payload, tables)
+        assert status == 200
+        assert body["recommendations"][0]["error"] == "bitrate must be finite and > 0, got -inf"
 
     def test_per_gop_error_does_not_abort_batch(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(6, 5))
@@ -168,3 +212,62 @@ class TestLiveServer:
         bodies = {raw for _, raw in results}
         assert statuses == {200}
         assert len(bodies) == 1
+
+
+# Numbers a request may carry: integers, values the batch must reject
+# (NaN, infinities, <= 0) and a PSNR outside (0, 100].
+NUMBERS = st.one_of(
+    st.floats(0.05, 60.0),
+    st.integers(-2, 60),
+    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), -float("inf"), 400.0]),
+)
+GOOD_POINTS = st.tuples(st.floats(0.1, 8.0), st.floats(20.0, 60.0)).map(list)
+NUMBER_POINTS = st.one_of(
+    GOOD_POINTS,
+    st.lists(NUMBERS, min_size=2, max_size=2),
+    st.tuples(st.floats(0.1, 8.0), st.sampled_from([float("nan"), -float("inf")])).map(list),
+    st.tuples(st.sampled_from([0, -1.0, float("nan"), float("inf")]), st.floats(20.0, 60.0)).map(list),
+)
+POINT_LISTS = st.one_of(
+    st.lists(GOOD_POINTS, min_size=1, max_size=5),
+    st.lists(NUMBER_POINTS, min_size=1, max_size=4),
+    st.lists(st.one_of(NUMBER_POINTS, st.lists(NUMBERS, max_size=3), st.just("ab")), max_size=3),
+    st.sampled_from(["none", 5, None, {}]),
+)
+WELL_FORMED = st.fixed_dictionaries(
+    {"gop_id": st.text("gx0", min_size=1, max_size=3),
+     "tier": st.sampled_from(["1080p", "720p", "540p", "360p", "1080p", "1440p", "0720p"]),
+     "points": POINT_LISTS},
+)
+GOP_ENTRIES = st.one_of(
+    WELL_FORMED,
+    WELL_FORMED,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "gop_id": st.one_of(st.text("gx", max_size=2), st.integers(), st.none(),
+                                st.just(["g"])),
+            "tier": st.sampled_from(["1080p", "720p", "1440p", "0720p", "foo", 720, None]),
+            "points": POINT_LISTS,
+        },
+    ),
+    st.sampled_from([5, "x", None, [1, 2], 2.5]),
+)
+MODE_LISTS = [list(m) for k in (1, 2, 3)
+              for m in itertools.combinations(("trans_size", "vl", "nzs"), k)]
+
+
+class TestHandleRequestMatchesReference:
+    """The one-pass handler against the parse-then-merge reference, on
+    payloads that mix well-formed and malformed GOPs. Only the documented
+    changes are left out: non-number coordinates and invalid targets."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        target=st.one_of(st.floats(0.1, 8.0), st.integers(1, 8)),
+        modes=st.sampled_from(MODE_LISTS + [[], ["warp"]]),
+        gops=st.lists(GOP_ENTRIES, min_size=1, max_size=8),
+    )
+    def test_status_and_body(self, tables, target, modes, gops):
+        payload = {"target_bitrate": target, "modes": modes, "gops": gops}
+        assert handle_recommend_request(payload, tables) == reference_handle(payload, tables)

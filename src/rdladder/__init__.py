@@ -20,15 +20,12 @@ from .clustering import (
 from .decision import (
     OPERATING_RANGE,
     VL_SEARCH_RANGE,
-    Advice,
     CurveIntersection,
     DecisionConfig,
     DecisionTables,
-    GopError,
     Modes,
     NzsInterval,
     ObservationBatch,
-    Recommendation,
     ResolutionLadder,
     SavingsReport,
     VlThreshold,

@@ -24,10 +24,8 @@ from .decision import (
     OPERATING_RANGE,
     DecisionConfig,
     DecisionTables,
-    GopError,
     Modes,
     ObservationBatch,
-    advice_document,
     gather_groups,
 )
 from .errors import RDLadderError, ValidationError
@@ -143,39 +141,39 @@ def cmd_recommend(args) -> int:
     advice = DecisionTables(model_set, cfg).advise(
         _observations(mset, model_set), args.target_bitrate, modes
     )
-    report = advice.savings
+    report = advice["savings"]
 
     if args.format == "json":
-        print(json.dumps(advice_document(advice), indent=2))
+        print(json.dumps(advice, indent=2))
     elif args.format == "csv":
         print("gop_id,cluster,tier,target_bitrate_mbps,proposed_bitrate_mbps,predicted_psnr_db,modes_applied")
-        for rec in advice.results:
-            if isinstance(rec, GopError):
-                print(f"# {rec.gop_id}: {rec.error}")
+        for rec in advice["recommendations"]:
+            if "error" in rec:
+                print(f"# {rec['gop_id']}: {rec['error']}")
             else:
-                modes_applied = "+".join(rec.modes_applied)
+                modes_applied = "+".join(rec["modes_applied"])
                 print(
-                    f"{rec.gop_id},{rec.cluster},{rec.tier.name},{rec.target_bitrate:.3f},"
-                    f"{rec.proposed_bitrate:.3f},{rec.predicted_psnr:.2f},{modes_applied}"
+                    f"{rec['gop_id']},{rec['cluster']},{rec['tier']},{rec['target_bitrate']:.3f},"
+                    f"{rec['proposed_bitrate']:.3f},{rec['predicted_psnr']:.2f},{modes_applied}"
                 )
         if report is not None:
-            print(f"# total_target={report.total_target:.3f}")
-            print(f"# total_proposed={report.total_proposed:.3f}")
-            print(f"# saving_percent={report.saving_percent:.3f}")
+            print(f"# total_target={report['total_target']:.3f}")
+            print(f"# total_proposed={report['total_proposed']:.3f}")
+            print(f"# saving_percent={report['saving_percent']:.3f}")
     else:
-        for rec in advice.results:
-            if isinstance(rec, GopError):
-                print(f"{rec.gop_id}: ERROR {rec.error}")
+        for rec in advice["recommendations"]:
+            if "error" in rec:
+                print(f"{rec['gop_id']}: ERROR {rec['error']}")
             else:
                 print(
-                    f"{rec.gop_id}: cluster {rec.cluster}, {rec.tier.name}, "
-                    f"{rec.target_bitrate:.3f} -> {rec.proposed_bitrate:.3f} Mbps, "
-                    f"predicted {rec.predicted_psnr:.2f} dB ({rec.rationale})"
+                    f"{rec['gop_id']}: cluster {rec['cluster']}, {rec['tier']}, "
+                    f"{rec['target_bitrate']:.3f} -> {rec['proposed_bitrate']:.3f} Mbps, "
+                    f"predicted {rec['predicted_psnr']:.2f} dB ({rec['rationale']})"
                 )
         if report is not None:
             print(
-                f"total {report.total_target:.3f} -> {report.total_proposed:.3f} Mbps, "
-                f"saving {report.saving_percent:.2f}%"
+                f"total {report['total_target']:.3f} -> {report['total_proposed']:.3f} Mbps, "
+                f"saving {report['saving_percent']:.2f}%"
             )
     return EXIT_OK
 
@@ -239,7 +237,7 @@ def cmd_serve(args) -> int:
         raise ValidationError(f"--bind port {port_s!r} is not an integer") from None
     try:
         server = make_server(model_set, host, port, cfg, quiet=False)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         raise ValidationError(f"cannot bind {args.bind}: {exc}") from None
     print(f"advisory endpoint on http://{host}:{server.server_address[1]}/v1/recommend", flush=True)
     try:

@@ -172,6 +172,8 @@ def kmeans(
     from its currently assigned centroid. ``init_centroids`` overrides the
     k-means++ seeding (useful for reproducing specific runs).
     """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2:
         raise ValidationError("k-means expects a [vectors, grid] matrix")

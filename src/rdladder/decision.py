@@ -363,27 +363,6 @@ def gather_groups(offsets: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Recommendation:
-    """Per-GOP output: the assigned cluster, the tier and bitrate to
-    transcode at, and the quality the model predicts there."""
-
-    gop_id: str
-    cluster: int
-    tier: ResolutionTier
-    target_bitrate: float
-    proposed_bitrate: float
-    modes_applied: tuple[str, ...]
-    predicted_psnr: float
-    rationale: str
-
-    def __post_init__(self):
-        if self.proposed_bitrate <= 0:
-            raise ValidationError("proposed bitrate must be > 0")
-        if self.proposed_bitrate > self.target_bitrate:
-            raise ValidationError("proposed bitrate must never exceed the target")
-
-
-@dataclass(frozen=True)
 class VideoSavings:
     video_id: str
     total_target: float
@@ -432,59 +411,6 @@ def savings_report(groups: Mapping[str, Sequence[tuple[float, float]]]) -> Savin
         total_proposed=total_proposed,
         saving_percent=100.0 * (total_target - total_proposed) / total_target,
     )
-
-
-@dataclass(frozen=True)
-class GopError:
-    """A GOP that could not be answered; it keeps its slot in the batch."""
-
-    gop_id: object  # as given; a malformed request may send a non-string
-    error: str
-
-
-@dataclass(frozen=True)
-class Advice:
-    """Answers for a batch of GOPs, one slot per GOP in input order, and
-    the savings over the answered ones (None when no GOP was answered)."""
-
-    results: tuple[Recommendation | GopError, ...]
-    savings: Optional[SavingsReport]
-
-
-def recommendation_to_dict(rec: Recommendation) -> dict:
-    return {
-        "gop_id": rec.gop_id,
-        "cluster": rec.cluster,
-        "tier": rec.tier.name,
-        "target_bitrate": rec.target_bitrate,
-        "proposed_bitrate": rec.proposed_bitrate,
-        "predicted_psnr": rec.predicted_psnr,
-        "modes_applied": list(rec.modes_applied),
-        "rationale": rec.rationale,
-    }
-
-
-def advice_document(advice: Advice) -> dict:
-    """The JSON document of a batch, as the service answers it and
-    ``recommend --format json`` prints it: one entry per GOP in order (an
-    error entry for a GOP that could not be answered) and the savings
-    summary, null when no GOP was answered."""
-    savings = advice.savings
-    return {
-        "recommendations": [
-            recommendation_to_dict(r)
-            if isinstance(r, Recommendation)
-            else {"gop_id": r.gop_id, "error": r.error}
-            for r in advice.results
-        ],
-        "savings": None
-        if savings is None
-        else {
-            "total_target": savings.total_target,
-            "total_proposed": savings.total_proposed,
-            "saving_percent": savings.saving_percent,
-        },
-    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,47 +490,61 @@ class DecisionTables:
             )
         return clusters, rms, errors
 
-    def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> Advice:
+    def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> dict:
         """The decision pipeline for a batch of GOPs: assign each a
         cluster from its measured points, pick a tier (the ladder's when
         trans-sizing is on, the native one otherwise), then apply the
         visually-lossless cap and the near-zero-slope reduction to the
-        target bitrate, in that order. A GOP that cannot be answered gets
-        a GopError in its slot."""
+        target bitrate, in that order.
+
+        Returns the advice document, as the service answers it and
+        ``recommend --format json`` prints it: ``recommendations`` holds
+        one entry per GOP in input order, and ``savings`` the totals over
+        the answered GOPs (None when no GOP was answered). An answered
+        GOP's entry holds ``gop_id``, ``cluster``, ``tier`` (its name),
+        ``target_bitrate``, ``proposed_bitrate``, ``predicted_psnr``,
+        ``modes_applied`` and ``rationale``; a GOP that cannot be answered
+        gets ``{"gop_id", "error"}``."""
         if not modes.any_enabled:
             raise ValidationError("at least one mode must be enabled")
         if not (math.isfinite(target_r) and target_r > 0):
             raise ValidationError("target bitrate must be finite and > 0")
         clusters, rms, errors = self.assign(batch)
         decisions: dict[tuple[int, ResolutionTier], tuple] = {}
-        results: list[Recommendation | GopError] = []
+        entries: list[dict] = []
+        pairs: list[tuple[float, float]] = []
         for gop_id, native, cluster, distance, error in zip(
             batch.gop_ids, batch.tiers, clusters.tolist(), rms.tolist(), errors
         ):
             if error is not None:
-                results.append(GopError(gop_id, error))
+                entries.append({"gop_id": gop_id, "error": error})
                 continue
             key = (cluster, native)
             if key not in decisions:
-                *decision, notes = self.decide(cluster, native, target_r, modes)
-                decisions[key] = (*decision, "".join(f"; {note}" for note in notes))
-            tier, bitrate, applied, predicted, notes = decisions[key]
-            results.append(
-                Recommendation(
-                    gop_id=gop_id,
-                    cluster=cluster,
-                    tier=tier,
-                    target_bitrate=target_r,
-                    proposed_bitrate=bitrate,
-                    modes_applied=applied,
-                    predicted_psnr=predicted,
-                    rationale=f"cluster {cluster} (rms {distance:.3f} dB){notes}",
-                )
-            )
-        pairs = [
-            (r.target_bitrate, r.proposed_bitrate) for r in results if isinstance(r, Recommendation)
-        ]
-        return Advice(tuple(results), savings_report({"all": pairs}) if pairs else None)
+                tier, bitrate, applied, predicted, notes = self.decide(cluster, native, target_r, modes)
+                suffix = "".join(f"; {note}" for note in notes)
+                decisions[key] = (tier.name, bitrate, predicted, applied, suffix)
+            tier_name, bitrate, predicted, applied, notes = decisions[key]
+            entries.append({
+                "gop_id": gop_id,
+                "cluster": cluster,
+                "tier": tier_name,
+                "target_bitrate": target_r,
+                "proposed_bitrate": bitrate,
+                "predicted_psnr": predicted,
+                "modes_applied": list(applied),
+                "rationale": f"cluster {cluster} (rms {distance:.3f} dB){notes}",
+            })
+            pairs.append((target_r, bitrate))
+        savings = None
+        if pairs:
+            report = savings_report({"all": pairs})
+            savings = {
+                "total_target": report.total_target,
+                "total_proposed": report.total_proposed,
+                "saving_percent": report.saving_percent,
+            }
+        return {"recommendations": entries, "savings": savings}
 
     def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
         """(tier, proposed bitrate, modes applied, predicted PSNR, notes)
@@ -612,7 +552,8 @@ class DecisionTables:
         tier when trans-sizing is on (the native one otherwise), then the
         target capped at the visually-lossless threshold when one exists
         below it, then dropped to the near-zero-slope interval's lower end
-        when it lies inside that interval (endpoints inclusive)."""
+        when it lies inside that interval (endpoints inclusive). The
+        proposed bitrate is checked to lie in (0, target]."""
         if not (math.isfinite(target_r) and target_r > 0):
             raise ValidationError("target bitrate must be finite and > 0")
         self.model_set.model(cluster, native)  # rejects an unknown cluster or tier
@@ -641,6 +582,10 @@ class DecisionTables:
             applied.append("nzs")
             notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval.lo:g}")
             bitrate = interval.lo
+        if bitrate <= 0:
+            raise ValidationError("proposed bitrate must be > 0")
+        if bitrate > target_r:
+            raise ValidationError("proposed bitrate must never exceed the target")
 
         final_model = self.model_set.model(cluster, tier)
         predicted = eval_cubic(final_model, bitrate)

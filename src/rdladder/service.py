@@ -28,13 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .clustering import ClusterModelSet
-from .decision import (
-    DecisionConfig,
-    DecisionTables,
-    Modes,
-    ObservationBatch,
-    advice_document,
-)
+from .decision import DecisionConfig, DecisionTables, Modes, ObservationBatch
 from .errors import ValidationError
 from .tiers import ResolutionTier, tier_from_name
 
@@ -83,9 +77,12 @@ def _gop_fields(entry, index: int) -> tuple[ResolutionTier, list[tuple[float, fl
 def _observation_batch(gops: list) -> ObservationBatch:
     """The request's GOPs as one batch, in request order. A malformed
     entry gets its message in ``errors``, no points and no tier, and
-    keeps its ``gop_id`` as given ("" when it has none)."""
-    tiers, errors, offsets, points = [], [], [0], []
+    keeps its ``gop_id`` when that is a string ("" otherwise: a number
+    could be NaN or infinite, which the answer's JSON cannot carry)."""
+    gop_ids, tiers, errors, offsets, points = [], [], [], [0], []
     for index, entry in enumerate(gops):
+        gop_id = entry.get("gop_id") if isinstance(entry, dict) else None
+        gop_ids.append(gop_id if isinstance(gop_id, str) else "")
         try:
             tier, pairs = _gop_fields(entry, index)
             error = None
@@ -97,7 +94,7 @@ def _observation_batch(gops: list) -> ObservationBatch:
         offsets.append(len(points))
     bitrates, psnr = np.array(points, dtype=float).reshape(-1, 2).T
     return ObservationBatch(
-        gop_ids=[entry.get("gop_id", "") if isinstance(entry, dict) else "" for entry in gops],
+        gop_ids=gop_ids,
         tiers=tiers,
         offsets=np.array(offsets),
         bitrates=bitrates,
@@ -129,7 +126,7 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
         return 400, {"error": "gops must be a non-empty list"}
     if not (math.isfinite(target) and target > 0):
         return 400, {"error": "target_bitrate must be finite and > 0"}
-    return 200, advice_document(tables.advise(_observation_batch(gops), target, modes))
+    return 200, tables.advise(_observation_batch(gops), target, modes)
 
 
 class _AdvisoryServer(ThreadingHTTPServer):

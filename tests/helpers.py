@@ -8,12 +8,11 @@ with the code under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 import rdladder as rl
-from rdladder.decision import advice_document
 from rdladder.errors import (
     ConflictError,
     CoverageError,
@@ -262,9 +261,10 @@ def scalar_assign(points, model_set, tier) -> tuple[int, float]:
     return best, distances[best]
 
 
-def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) -> rl.Recommendation:
+def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) -> dict:
     """Reference decision pipeline for one GOP, deriving the one ladder,
-    threshold and interval it needs on the fly."""
+    threshold and interval it needs on the fly; returns the GOP's entry
+    of the advice document."""
     cluster, distance = scalar_assign(points, model_set, native)
     notes = [f"cluster {cluster} (rms {distance:.3f} dB)"]
     applied = []
@@ -298,39 +298,46 @@ def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) ->
     if not final_model.covers(bitrate):
         notes.append("prediction extrapolates beyond the fitted bitrate span")
 
-    return rl.Recommendation(
-        gop_id=gop_id,
-        cluster=cluster,
-        tier=tier,
-        target_bitrate=target_r,
-        proposed_bitrate=bitrate,
-        modes_applied=tuple(applied),
-        predicted_psnr=predicted,
-        rationale="; ".join(notes),
-    )
+    return {
+        "gop_id": gop_id,
+        "cluster": cluster,
+        "tier": tier.name,
+        "target_bitrate": target_r,
+        "proposed_bitrate": bitrate,
+        "predicted_psnr": predicted,
+        "modes_applied": applied,
+        "rationale": "; ".join(notes),
+    }
 
 
-def scalar_advise(batch, model_set, cfg, modes, target_r) -> rl.Advice:
-    """Reference batch: ``scalar_recommend`` per GOP, an error slot for
-    each GOP the batch or it rejects, savings over the answered GOPs."""
+def scalar_advise(batch, model_set, cfg, modes, target_r) -> dict:
+    """Reference advice document: ``scalar_recommend`` per GOP, an error
+    entry for each GOP the batch or it rejects, savings over the answered
+    GOPs."""
     if not modes.any_enabled:
         raise ValidationError("at least one mode must be enabled")
     if not (math.isfinite(target_r) and target_r > 0):
         raise ValidationError("target bitrate must be finite and > 0")
-    results = []
+    entries = []
     for g, (gop_id, tier, error) in enumerate(zip(batch.gop_ids, batch.tiers, batch.errors)):
         lo, hi = batch.offsets[g], batch.offsets[g + 1]
         points = list(zip(batch.bitrates[lo:hi].tolist(), batch.psnr[lo:hi].tolist()))
         try:
             if error is not None:
                 raise ValidationError(error)
-            results.append(scalar_recommend(gop_id, tier, points, model_set, cfg, modes, target_r))
+            entries.append(scalar_recommend(gop_id, tier, points, model_set, cfg, modes, target_r))
         except RDLadderError as exc:
-            results.append(rl.GopError(gop_id, str(exc)))
-    pairs = [
-        (r.target_bitrate, r.proposed_bitrate) for r in results if isinstance(r, rl.Recommendation)
-    ]
-    return rl.Advice(tuple(results), rl.savings_report({"all": pairs}) if pairs else None)
+            entries.append({"gop_id": gop_id, "error": str(exc)})
+    pairs = [(e["target_bitrate"], e["proposed_bitrate"]) for e in entries if "error" not in e]
+    savings = None
+    if pairs:
+        report = rl.savings_report({"all": pairs})
+        savings = {
+            "total_target": report.total_target,
+            "total_proposed": report.total_proposed,
+            "saving_percent": report.saving_percent,
+        }
+    return {"recommendations": entries, "savings": savings}
 
 
 def _reference_parse_gop(entry, index: int):
@@ -357,7 +364,8 @@ def _reference_parse_gop(entry, index: int):
 def reference_handle(payload, tables) -> tuple[int, dict]:
     """Reference request handling in two phases: parse each GOP on its
     own, advise the parsed ones as one batch, then merge the answers back
-    between the GOPs that failed to parse. It converts with ``float()``,
+    between the GOPs that failed to parse, each of which echoes its
+    ``gop_id`` only when that is a string. It converts with ``float()``,
     so it also takes bools and numeric strings, and it answers a NaN or
     non-positive target with "must be > 0"; an infinite target reaches
     ``advise``, which raises."""
@@ -387,10 +395,9 @@ def reference_handle(payload, tables) -> tuple[int, dict]:
         try:
             slots.append(_reference_parse_gop(entry, index))
         except (RDLadderError, TypeError, ValueError) as exc:
-            gop_id = entry.get("gop_id", "") if isinstance(entry, dict) else ""
-            slots.append(rl.GopError(gop_id, str(exc)))
-    parsed = [s for s in slots if not isinstance(s, rl.GopError)]
-    advice = tables.advise(observation_batch(parsed), target, modes)
-    answers = iter(advice.results)
-    results = tuple(s if isinstance(s, rl.GopError) else next(answers) for s in slots)
-    return 200, advice_document(replace(advice, results=results))
+            gop_id = entry.get("gop_id") if isinstance(entry, dict) else None
+            slots.append({"gop_id": gop_id if isinstance(gop_id, str) else "", "error": str(exc)})
+    document = tables.advise(observation_batch([s for s in slots if isinstance(s, tuple)]), target, modes)
+    answers = iter(document["recommendations"])
+    document["recommendations"] = [s if isinstance(s, dict) else next(answers) for s in slots]
+    return 200, document

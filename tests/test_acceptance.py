@@ -266,9 +266,9 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     observations = observation_batch(gops)
     for target in sweep:
         for modes in combos:
-            for rec in tables.advise(observations, float(target), modes).results:
-                if not (0 < rec.proposed_bitrate <= rec.target_bitrate):
-                    failures.append(f"unsafe proposal {rec.gop_id}@{target:.3f} {modes.enabled}")
+            for rec in tables.advise(observations, float(target), modes)["recommendations"]:
+                if not (0 < rec["proposed_bitrate"] <= rec["target_bitrate"]):
+                    failures.append(f"unsafe proposal {rec['gop_id']}@{target:.3f} {modes.enabled}")
 
     # Model file round-trip equality.
     text = rl.save_model(model)

@@ -75,6 +75,13 @@ class TestTrain:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_1(self, tmp_path, training_file, k, capsys):
+        rc = cli.main(["train", str(training_file), "--out", str(tmp_path / "m.json"), "--k", k])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: k must be >= 1, got {k}\n"
+
     def test_custom_grid_spec(self, tmp_path, training_file, capsys):
         out = tmp_path / "m.json"
         rc = cli.main(["train", str(training_file), "--out", str(out), "--grid", "0.2:6:10"])
@@ -352,6 +359,15 @@ def test_serve_prints_address_through_a_pipe():
         proc.stdout.close()
     assert line.startswith("advisory endpoint on http://127.0.0.1:")
     assert line.rstrip().endswith("/v1/recommend")
+
+
+@pytest.mark.parametrize("port", ["99999", "-5"])
+def test_serve_port_out_of_range_exits_1(port, capsys):
+    rc = cli.main(["serve", "--paper-model", "--bind", f"127.0.0.1:{port}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

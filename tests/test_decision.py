@@ -242,6 +242,12 @@ class TestBitrateRules:
         with pytest.raises(ValidationError):
             tables.decide(cluster, tier, target, rl.Modes(vl=True))
 
+    def test_rejects_a_proposal_of_zero_or_below(self, paper_model, cfg):
+        broken = rl.DecisionTables(paper_model, cfg)
+        object.__setattr__(broken, "vl", {(6, T1080): rl.VlThreshold(bitrate=-0.5)})
+        with pytest.raises(ValidationError, match="proposed bitrate must be > 0"):
+            broken.decide(6, T1080, 3.0, rl.Modes(vl=True))
+
 
 def on_curve_observation(model_set, cluster, tier, gop_id="g"):
     """One (gop_id, tier, points) GOP whose points lie on a cluster's curve."""
@@ -251,33 +257,33 @@ def on_curve_observation(model_set, cluster, tier, gop_id="g"):
 
 
 def advise_one(tables, obs, modes, target):
-    (result,) = tables.advise(observation_batch([obs]), target, modes).results
-    return result
+    (entry,) = tables.advise(observation_batch([obs]), target, modes)["recommendations"]
+    return entry
 
 
 class TestRecommend:
     def test_vl_pipeline_on_cluster6(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 6, T1080)
         rec = advise_one(tables, obs, rl.Modes(vl=True), 3.0)
-        assert rec.cluster == 6 and rec.tier == T1080
-        assert rec.proposed_bitrate == pytest.approx(0.429, abs=0.005)
-        assert rec.predicted_psnr == pytest.approx(40.0, abs=0.01)
-        assert rec.modes_applied == ("vl",)
+        assert rec["cluster"] == 6 and rec["tier"] == "1080p"
+        assert rec["proposed_bitrate"] == pytest.approx(0.429, abs=0.005)
+        assert rec["predicted_psnr"] == pytest.approx(40.0, abs=0.01)
+        assert rec["modes_applied"] == ["vl"]
 
     def test_trans_size_pipeline_on_cluster3(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 3, T1080)
         rec = advise_one(tables, obs, rl.Modes(trans_size=True), 1.0)
-        assert rec.tier == T720
-        assert rec.proposed_bitrate == 1.0
-        assert rec.modes_applied == ("trans_size",)
+        assert rec["tier"] == "720p"
+        assert rec["proposed_bitrate"] == 1.0
+        assert rec["modes_applied"] == ["trans_size"]
 
     def test_trans_size_noop_on_cluster6(self, paper_model, tables):
         obs = on_curve_observation(paper_model, 6, T1080)
         rec = advise_one(tables, obs, rl.Modes(trans_size=True), 2.0)
-        assert rec.tier == T1080
-        assert rec.proposed_bitrate == 2.0
-        assert rec.modes_applied == ()
-        assert rec.predicted_psnr == rl.eval_cubic(paper_model.model(6, T1080), 2.0)
+        assert rec["tier"] == "1080p"
+        assert rec["proposed_bitrate"] == 2.0
+        assert rec["modes_applied"] == []
+        assert rec["predicted_psnr"] == rl.eval_cubic(paper_model.model(6, T1080), 2.0)
 
     def test_vl_then_nzs_ordering(self, paper_model, tables):
         # After the cap to ~0.429, the near-zero-slope interval no longer
@@ -285,7 +291,7 @@ class TestRecommend:
         obs = on_curve_observation(paper_model, 6, T1080)
         combined = advise_one(tables, obs, rl.Modes(vl=True, nzs=True), 4.5)
         vl_only = advise_one(tables, obs, rl.Modes(vl=True), 4.5)
-        assert combined.proposed_bitrate == vl_only.proposed_bitrate
+        assert combined["proposed_bitrate"] == vl_only["proposed_bitrate"]
 
     def test_requires_a_mode(self, paper_model, tables):
         batch = observation_batch([on_curve_observation(paper_model, 6, T1080)] * 2)
@@ -309,11 +315,11 @@ class TestRecommend:
         for target in targets:
             proposed = {}
             for modes in combos:
-                recs = tables.advise(observations, float(target), modes).results
+                recs = tables.advise(observations, float(target), modes)["recommendations"]
                 for rec in recs:
-                    assert rec.proposed_bitrate <= rec.target_bitrate
-                    assert rec.proposed_bitrate > 0
-                proposed[modes.enabled] = [rec.proposed_bitrate for rec in recs]
+                    assert rec["proposed_bitrate"] <= rec["target_bitrate"]
+                    assert rec["proposed_bitrate"] > 0
+                proposed[modes.enabled] = [rec["proposed_bitrate"] for rec in recs]
             for a, b in itertools.combinations(combos, 2):
                 if set(a.enabled) < set(b.enabled):
                     for pa, pb in zip(proposed[a.enabled], proposed[b.enabled]):
@@ -330,7 +336,7 @@ class TestRecommend:
         modes = rl.Modes(trans_size=True, vl=vl, nzs=nzs)
         obs = on_curve_observation(tables.model_set, cluster, T1080)
         rec = advise_one(tables, obs, modes, target)
-        assert 0 < rec.proposed_bitrate <= target
+        assert 0 < rec["proposed_bitrate"] <= target
 
 
 @st.composite
@@ -410,13 +416,10 @@ def gop_batches(draw):
     return model_set, observation_batch(observations)
 
 
-def decision_fields(result):
-    """What the batch path must reproduce exactly: everything but the
+def decision_fields(entry):
+    """What the batch path must reproduce exactly: every key but the
     rationale, whose RMS figure the reference computes with ``** 2``."""
-    if isinstance(result, rl.GopError):
-        return result
-    return (result.gop_id, result.cluster, result.tier, result.target_bitrate,
-            result.proposed_bitrate, result.predicted_psnr, result.modes_applied)
+    return {key: value for key, value in entry.items() if key != "rationale"}
 
 
 class TestAdvise:
@@ -433,10 +436,10 @@ class TestAdvise:
 
         def outcome(advise, *args):
             try:
-                advice = advise(*args)
+                document = advise(*args)
             except ValidationError as exc:  # an invalid target fails the whole batch
                 return str(exc)
-            return list(map(decision_fields, advice.results)), advice.savings
+            return list(map(decision_fields, document["recommendations"])), document["savings"]
 
         got = outcome(rl.DecisionTables(model_set, cfg).advise, observations, target, modes)
         want = outcome(scalar_advise, observations, model_set, cfg, modes, target)
@@ -537,10 +540,10 @@ def test_label_permutation_leaves_recommendations_unchanged(paper_model, cfg):
     observations = observation_batch(
         [on_curve_observation(paper_model, c, T1080) for c in paper_model.clusters]
     )
-    originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes).results
-    renamed_all = shuffled.advise(observations, 3.0, modes).results
-    for original, renamed in zip(originals, renamed_all):
-        assert renamed.cluster == permutation[original.cluster]
-        assert renamed.tier == original.tier
-        assert renamed.proposed_bitrate == original.proposed_bitrate
-        assert renamed.predicted_psnr == original.predicted_psnr
+    originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes)
+    renamed_all = shuffled.advise(observations, 3.0, modes)
+    for original, renamed in zip(originals["recommendations"], renamed_all["recommendations"]):
+        assert renamed["cluster"] == permutation[original["cluster"]]
+        assert renamed["tier"] == original["tier"]
+        assert renamed["proposed_bitrate"] == original["proposed_bitrate"]
+        assert renamed["predicted_psnr"] == original["predicted_psnr"]

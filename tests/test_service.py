@@ -200,6 +200,23 @@ class TestLiveServer:
         assert status == 405
         assert "POST" in json.loads(raw)["error"]
 
+    @pytest.mark.parametrize("gop_id", ["NaN", "Infinity", "1e400", "[NaN]"])
+    def test_non_string_gop_id_is_not_echoed(self, server, paper_model, gop_id):
+        # json reads NaN, Infinity and 1e400 as floats that JSON cannot write.
+        good = json.dumps(request_payload(paper_model)["gops"][0])
+        payload = ('{"target_bitrate": 3.0, "modes": ["vl"], "gops": [%s, {"gop_id": %s}]}'
+                   % (good, gop_id)).encode()
+        status, raw = post(server, "/v1/recommend", payload)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        body = json.loads(raw, parse_constant=reject)
+        assert status == 200
+        assert body["recommendations"][1] == {
+            "gop_id": "", "error": "gops[1]: gop_id must be a non-empty string"}
+        assert body["recommendations"][0]["cluster"] == 6
+
     def test_concurrent_identical_requests_get_identical_answers(self, server, paper_model):
         payload = json.dumps(request_payload(paper_model, clusters=(6, 5, 4))).encode()
 

@@ -113,16 +113,27 @@ def resample_to_grid(
             f"[{lo[g]:g}, {hi[g]:g}]"
         )
 
+    # np.interp over every group at once, by its formula and rules: a grid
+    # point's left sample is the group's last one at or below it, and a
+    # grid point on a sample takes that sample's PSNR (the grid ends inside
+    # every group, so only there can the right neighbour be missing).
+    # np.interp also retries a NaN from the right sample; between finite
+    # samples no NaN arises, and next to a non-finite one both results are
+    # non-finite, which TierVectors rejects.
+    bitrates, psnr = mset.bitrates, mset.psnr
+    left = starts[:, None] - 1 + np.add.reduceat(gx[:, None] >= bitrates, starts, axis=1).T
+    right = np.minimum(left + 1, ends[:, None] - 1)
+    x0, y0, x1, y1 = bitrates[left], psnr[left], bitrates[right], psnr[right]
+    with np.errstate(all="ignore"):
+        values = np.where(x0 == gx, y0, (y1 - y0) / (x1 - x0) * (gx - x0) + y0)
+
     members: dict[ResolutionTier, list[int]] = {}
     for g, (_, tier) in enumerate(mset.groups):
         members.setdefault(tier, []).append(g)
-    out = {}
-    for tier, rows in members.items():
-        psnr = np.empty((len(rows), len(gx)))
-        for i, g in enumerate(rows):
-            psnr[i] = np.interp(gx, *mset.rows(g))
-        out[tier] = TierVectors(tier, tuple(mset.groups[g][0] for g in rows), psnr)
-    return out
+    return {
+        tier: TierVectors(tier, tuple(mset.groups[g][0] for g in rows), values[rows])
+        for tier, rows in members.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -174,6 +185,8 @@ def kmeans(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2:
         raise ValidationError("k-means expects a [vectors, grid] matrix")

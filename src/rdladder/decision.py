@@ -420,8 +420,8 @@ class DecisionTables:
     visually-lossless threshold and near-zero-slope interval of every
     (cluster, tier), and the cubics stacked as
     ``coeffs[tier_index, cluster - 1] = (c0, c1, c2, c3)`` with tiers in
-    ``model_set.tiers`` order. Immutable, so one instance can serve
-    concurrent requests.
+    ``model_set.tiers`` order, ``tier_index`` mapping each tier to its
+    row. Immutable, so one instance can serve concurrent requests.
     """
 
     model_set: ClusterModelSet
@@ -430,6 +430,7 @@ class DecisionTables:
     vl: Mapping[tuple[int, ResolutionTier], Optional[VlThreshold]] = field(init=False, repr=False)
     nzs: Mapping[tuple[int, ResolutionTier], Optional[NzsInterval]] = field(init=False, repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
+    tier_index: Mapping[ResolutionTier, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         model_set, cfg = self.model_set, self.cfg
@@ -443,6 +444,7 @@ class DecisionTables:
         set_field("vl", MappingProxyType({k: vl_threshold(model_set.model(*k), cfg) for k in keys}))
         set_field("nzs", MappingProxyType({k: nzs_interval(model_set.model(*k), cfg) for k in keys}))
         set_field("coeffs", coeffs)
+        set_field("tier_index", MappingProxyType({t: i for i, t in enumerate(tiers)}))
 
     def assign(self, batch: ObservationBatch) -> tuple[np.ndarray, np.ndarray, list]:
         """Assign each GOP to the cluster whose curve at the GOP's tier is
@@ -461,7 +463,7 @@ class DecisionTables:
         # Walked backwards, each GOP's first bad point is the one kept.
         first_bad = dict(zip(owners[::-1].tolist(), bad_rows[::-1].tolist()))
 
-        tier_index = {t: i for i, t in enumerate(self.model_set.tiers)}
+        tier_index = self.tier_index
         by_tier: dict[int, list[int]] = {}
         counts = (batch.offsets[1:] - batch.offsets[:-1]).tolist()
         for g, (error, tier, count) in enumerate(zip(batch.errors, batch.tiers, counts)):
@@ -484,10 +486,12 @@ class DecisionTables:
 
         clusters, rms = np.zeros(n, dtype=int), np.full(n, np.nan)
         for index, members in by_tier.items():
-            rows, offsets = gather_groups(batch.offsets, members)
-            clusters[members], rms[members] = nearest_clusters(
-                self.coeffs[index], bitrates[rows], psnr[rows], offsets
-            )
+            if len(members) == n:  # every GOP, in order: nothing to gather
+                points = bitrates, psnr, batch.offsets
+            else:
+                rows, offsets = gather_groups(batch.offsets, members)
+                points = bitrates[rows], psnr[rows], offsets
+            clusters[members], rms[members] = nearest_clusters(self.coeffs[index], *points)
         return clusters, rms, errors
 
     def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> dict:

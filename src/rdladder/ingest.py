@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse
+from operator import eq
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .tiers import ResolutionTier, tier_from_name
 MEASUREMENT_HEADER = "gop_id,resolution,bitrate_mbps,psnr_db"
 MODEL_SCHEMA_VERSION = "1"
 BUILTIN_PROVENANCE = "paper-table-2"
+PARSE_BLOCK_LINES = 1024  # lines checked and converted in bulk at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,71 +53,168 @@ class MeasurementSet:
         return len(self.bitrates)
 
 
+class _Columns:
+    """Accepted rows as per-block column arrays, and the (gop, tier)
+    groups numbered in order of first appearance."""
+
+    def __init__(self):
+        self.tiers: dict[str, ResolutionTier] = {}  # by resolution name
+        self.groups: dict[tuple[str, str], int] = {}  # (gop_id, resolution) -> group
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(self, rows: list[str], linenos: np.ndarray, commas: np.ndarray, padded: bool) -> bool:
+        """Convert and append stripped data rows, each with its line number
+        and comma count, in bulk; ``padded`` says whether the fields may hold
+        whitespace. Returns False and changes nothing when any row has a
+        fault."""
+        n = len(rows)
+        if not n:
+            return True
+        if (commas != 3).any():
+            return False
+        fields = ",".join(rows).split(",")
+        if padded:
+            # float() skips less whitespace than strip() (not \x1c-\x1f),
+            # so number fields are stripped too.
+            fields = list(map(str.strip, fields))
+        gop_ids, names = fields[0::4], fields[1::4]
+        # A run is a stretch of rows of one group; keys are looked up per run.
+        same = np.fromiter(map(eq, gop_ids[1:], gop_ids), dtype=bool, count=n - 1)
+        same &= np.fromiter(map(eq, names[1:], names), dtype=bool, count=n - 1)
+        runs = np.flatnonzero(np.concatenate(([True], ~same)))
+        first_rows = runs.tolist()
+        run_gop_ids = list(map(gop_ids.__getitem__, first_rows))
+        run_names = list(map(names.__getitem__, first_rows))
+        try:
+            bitrates = np.array(fields[2::4], dtype=float)
+            psnr = np.array(fields[3::4], dtype=float)
+            new_tiers = {
+                name: tier_from_name(name)
+                for name in filterfalse(self.tiers.__contains__, dict.fromkeys(run_names))
+            }
+        except (ValueError, ValidationError):
+            return False
+        in_range = (bitrates > 0) & (bitrates < math.inf) & (psnr > 0) & (psnr <= 100)
+        if "" in run_gop_ids or not in_range.all():
+            return False
+        keys = list(zip(run_gop_ids, run_names))
+
+        self.tiers.update(new_tiers)
+        fresh = list(filterfalse(self.groups.__contains__, dict.fromkeys(keys)))
+        self.groups.update(zip(fresh, count(len(self.groups))))
+        numbers = np.fromiter(map(self.groups.__getitem__, keys), dtype=np.int64, count=len(keys))
+        self.blocks.append((numbers.repeat(np.diff(runs, append=n)), linenos, bitrates, psnr))
+        return True
+
+    def group_keys(self) -> tuple[tuple[str, ResolutionTier], ...]:
+        return tuple((gop_id, self.tiers[name]) for gop_id, name in self.groups)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every accepted row's group, line number, bitrate and PSNR, as
+        whole columns; the blocks are let go."""
+        blocks, self.blocks = self.blocks, []
+        if not blocks:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0)
+        return tuple(map(np.concatenate, zip(*blocks)))
+
+
+def _first_fault(rows: list[str], linenos: np.ndarray) -> tuple[int, ValidationError]:
+    """The first faulty row of a block that failed a bulk check: its index
+    in ``rows`` and the error that names it."""
+    for index, (line, lineno) in enumerate(zip(rows, linenos.tolist())):
+        parts = line.split(",")
+        if len(parts) != 4:
+            return index, ParseError(
+                f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}"
+            )
+        gop_id, resolution, bitrate_s, psnr_s = map(str.strip, parts)
+        try:
+            tier_from_name(resolution)
+            bitrate = float(bitrate_s)
+            psnr = float(psnr_s)
+        except (ValueError, ValidationError) as exc:
+            return index, ParseError(f"line {lineno}: {exc}")
+        if not gop_id:
+            return index, ValidationError(f"line {lineno}: gop_id must be non-empty")
+        if not 0 < bitrate < math.inf:
+            return index, ValidationError(
+                f"line {lineno}: gop {gop_id!r}: bitrate must be finite and > 0"
+            )
+        if not 0 < psnr <= 100:
+            return index, ValidationError(
+                f"line {lineno}: gop {gop_id!r}: psnr must be in (0, 100] dB"
+            )
+    raise AssertionError("a block that failed a bulk check has no faulty row")
+
+
+def _read_blocks(text: str, source: str) -> tuple[_Columns, ValidationError | None]:
+    """The rows of ``text`` up to its first fault, and that fault (None
+    if there is none). A fault in the header line, or a missing header, is
+    raised at once."""
+    # The file goes through in blocks of PARSE_BLOCK_LINES lines, each
+    # checked and converted in bulk; only a block that fails a check is
+    # walked row by row, to name its first fault. Splitting the whole file
+    # into fields at once would cost several times its size in memory.
+    # Lines end at "\n" only (strip() drops a "\r"); with one appended,
+    # every line does. "\n" is never part of a longer UTF-8 sequence, so
+    # each block's bytes decode on their own; surrogatepass carries lone
+    # surrogates, which a str may hold.
+    raw = text.encode("utf-8", "surrogatepass") + b"\n"
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")) + 1
+    cuts = [0, *ends[PARSE_BLOCK_LINES - 1 : -1 : PARSE_BLOCK_LINES].tolist(), len(raw)]
+    columns = _Columns()
+    header_line = 0
+    fault: ValidationError | None = None
+    for block, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        chunk = raw[lo:hi]
+        lines = chunk.decode("utf-8", "surrogatepass").split("\n")
+        lines.pop()  # after the last "\n"
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        # Whitespace is among the ASCII controls, the space and non-ASCII.
+        padded = bool(((buf <= ord(" ")) & (buf != ord("\n"))).any() or (buf > 127).any())
+        if padded:
+            lines = list(map(str.strip, lines))
+            chunk = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+            buf = np.frombuffer(chunk, dtype=np.uint8)
+        # Line i starts at byte starts[i] of buf.
+        starts = np.concatenate(([0], np.flatnonzero(buf == ord("\n"))[:-1] + 1))
+        kept = (buf[starts] != ord("\n")) & (buf[starts] != ord("#"))
+        commas = np.add.reduceat(buf == ord(","), starts)[kept]
+        rows = list(compress(lines, kept))
+        linenos = block * PARSE_BLOCK_LINES + 1 + np.flatnonzero(kept)
+        if not header_line and rows:
+            if rows[0] != MEASUREMENT_HEADER:
+                raise ParseError(
+                    f"line {linenos[0]}: expected header {MEASUREMENT_HEADER!r}, got {rows[0]!r}"
+                )
+            header_line = linenos[0]
+            rows, linenos, commas = rows[1:], linenos[1:], commas[1:]
+        if not columns.add(rows, linenos, commas, padded):
+            index, fault = _first_fault(rows, linenos)
+            columns.add(rows[:index], linenos[:index], commas[:index], padded)
+            break  # raised below, unless an earlier row conflicts
+    if fault is None and not header_line:
+        raise ParseError(f"{source or 'measurements'}: empty file (no header)")
+    return columns, fault
+
+
 def parse_measurements(text: str, source: str = "") -> MeasurementSet:
     """Parse and validate a measurement CSV. Every failure names the
     offending 1-based line, and of several faults the first in file order
     is reported; nothing is dropped silently (exact duplicate rows
     collapse, contradictory ones are an error)."""
-    groups: dict[tuple[str, str], int] = {}
-    tiers: dict[str, ResolutionTier] = {}
-    # Rows stream into flat typed columns; holding every split row at
-    # once would cost several times the file's size in memory.
-    group_col, line_col = array("q"), array("q")
-    bitrate_col, psnr_col = array("d"), array("d")
-    header_line = 0
-    fault: ValidationError | None = None
-    try:
-        # Lines end at "\n" only (strip() drops a "\r"); splitlines() would
-        # also break at form feeds and other separators inside a row.
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            line = line.strip()
-            if not line or line[0] == "#":
-                continue
-            if not header_line:
-                if line != MEASUREMENT_HEADER:
-                    raise ParseError(
-                        f"line {lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}"
-                    )
-                header_line = lineno
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(
-                    f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}"
-                )
-            gop_id, resolution, bitrate_s, psnr_s = map(str.strip, parts)
-            try:
-                if resolution not in tiers:
-                    tiers[resolution] = tier_from_name(resolution)
-                bitrate = float(bitrate_s)
-                psnr = float(psnr_s)
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if not gop_id:
-                raise ValidationError(f"line {lineno}: gop_id must be non-empty")
-            if not 0 < bitrate < math.inf:
-                raise ValidationError(
-                    f"line {lineno}: gop {gop_id!r}: bitrate must be finite and > 0"
-                )
-            if not 0 < psnr <= 100:
-                raise ValidationError(f"line {lineno}: gop {gop_id!r}: psnr must be in (0, 100] dB")
-            group_col.append(groups.setdefault((gop_id, resolution), len(groups)))
-            line_col.append(lineno)
-            bitrate_col.append(bitrate)
-            psnr_col.append(psnr)
-    except ValidationError as exc:
-        fault = exc  # raised below, unless an earlier row conflicts
-    if fault is None and not header_line:
-        raise ParseError(f"{source or 'measurements'}: empty file (no header)")
-
-    keys = tuple((gop_id, tiers[resolution]) for gop_id, resolution in groups)
-    group = np.frombuffer(group_col, dtype=np.int64)
-    bitrates = np.frombuffer(bitrate_col, dtype=float)
-    # lexsort is stable, so rows with one (group, bitrate) stay in file order.
-    order = np.lexsort((bitrates, group))
-    group, bitrates = group[order], bitrates[order]
-    psnr = np.frombuffer(psnr_col, dtype=float)[order]
-    lines = np.frombuffer(line_col, dtype=np.int64)[order]
+    # The encoded copy of the text that _read_blocks cuts into blocks is
+    # let go before the columns are joined.
+    columns, fault = _read_blocks(text, source)
+    keys = columns.group_keys()
+    group, lines, bitrates, psnr = columns.arrays()
+    # Files are often written group by group in bitrate order, and then
+    # the rows are sorted already. lexsort is stable, so rows with one
+    # (group, bitrate) stay in file order.
+    step = np.diff(group)
+    if not ((step > 0) | (step == 0) & (np.diff(bitrates) >= 0)).all():
+        order = np.lexsort((bitrates, group))
+        group, lines, bitrates, psnr = group[order], lines[order], bitrates[order], psnr[order]
     repeat = (group[1:] == group[:-1]) & (bitrates[1:] == bitrates[:-1])
     clashes = np.flatnonzero(repeat & (psnr[1:] != psnr[:-1])) + 1
     if clashes.size:

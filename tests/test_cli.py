@@ -82,6 +82,13 @@ class TestTrain:
         assert rc == 1 and captured.out == ""
         assert captured.err == f"error: k must be >= 1, got {k}\n"
 
+    def test_negative_seed_exits_1(self, tmp_path, training_file, capsys):
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", str(training_file), "--out", str(out), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not out.exists()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     def test_custom_grid_spec(self, tmp_path, training_file, capsys):
         out = tmp_path / "m.json"
         rc = cli.main(["train", str(training_file), "--out", str(out), "--grid", "0.2:6:10"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
 from rdladder.clustering import train_details
@@ -7,6 +8,7 @@ from rdladder.errors import (
     ConflictError,
     CoverageError,
     InsufficientDataError,
+    RDLadderError,
     ValidationError,
 )
 from rdladder.ingest import MEASUREMENT_HEADER
@@ -102,6 +104,69 @@ class TestResample:
         assert by_tier[t720].gop_ids == ("b", "a")
         assert by_tier[t720].psnr.tolist() == [[30.0, 31.0, 32.0, 34.0], [32.0, 32.25, 32.5, 33.0]]
         assert by_tier[t1080].gop_ids == ("a",)
+
+
+@st.composite
+def resample_cases(draw):
+    """A MeasurementSet and a grid it covers: groups of 2 to 7 samples at
+    two tiers, samples on grid points and one float step below them, at
+    bitrates near 1 Mbps or near 1e-300 Mbps (neighbours about 1e-300
+    apart), and PSNR values up to 1e308 apart, where slopes overflow, or
+    not finite, where np.interp falls back from NaN."""
+    scale = draw(st.sampled_from([1.0, 1e-300]))
+    grid = rl.BitrateGrid(tuple(scale * v for v in sorted(draw(
+        st.sets(st.integers(2, 40), min_size=4, max_size=6)))))
+    lo, hi = grid.span
+    on_grid = st.sampled_from(grid.bitrates)
+    below_grid = on_grid.map(lambda b: float(np.nextafter(b, 0)))
+    psnr_values = st.floats(0.5, 99.0) if draw(st.integers(0, 3)) else st.sampled_from(
+        [-1e308, 50.0, 1e308, np.inf, -np.inf, np.nan])
+    groups, offsets, bitrates, psnr = [], [0], [], []
+    for g in range(draw(st.integers(1, 6))):
+        ends = [lo * draw(st.sampled_from([1.0, 0.5])), hi * draw(st.sampled_from([1.0, 1.5]))]
+        inner = draw(st.lists(st.one_of(on_grid, below_grid, st.floats(lo, hi)), max_size=5))
+        rows = sorted({*ends, *inner})
+        groups.append((f"g{g}", draw(st.sampled_from([rl.tier_from_name("720p"),
+                                                     rl.tier_from_name("1080p")]))))
+        bitrates += rows
+        psnr += draw(st.lists(psnr_values, min_size=len(rows), max_size=len(rows)))
+        offsets.append(len(bitrates))
+    mset = rl.MeasurementSet(groups=tuple(groups), offsets=np.array(offsets),
+                             bitrates=np.array(bitrates), psnr=np.array(psnr))
+    return mset, grid
+
+
+def interp_each(mset, grid):
+    """Reference resampling: np.interp once per group."""
+    by_tier: dict = {}
+    for g, (gop_id, tier) in enumerate(mset.groups):
+        ids, rows = by_tier.setdefault(tier, ([], []))
+        ids.append(gop_id)
+        rows.append(np.interp(grid.as_array(), *mset.rows(g)))
+    return {tier: rl.TierVectors(tier, tuple(ids), np.array(rows))
+            for tier, (ids, rows) in by_tier.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=resample_cases())
+def test_resample_matches_per_group_interp(case):
+    mset, grid = case
+
+    def outcome(fn):
+        try:
+            return fn(), None
+        except RDLadderError as exc:
+            return None, (type(exc), str(exc))
+
+    expected, expected_error = outcome(lambda: interp_each(mset, grid))
+    vectors, error = outcome(lambda: rl.resample_to_grid(mset, grid))
+    assert error == expected_error
+    if error:
+        return
+    assert list(vectors) == list(expected)
+    for tier, want in expected.items():
+        assert vectors[tier].gop_ids == want.gop_ids
+        assert vectors[tier].psnr.tobytes() == want.psnr.tobytes()
 
 
 class TestKMeans:

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
+from rdladder import ingest
 from rdladder.errors import (
     ConflictError,
     ParseError,
@@ -165,17 +168,36 @@ FAULTS = [
     "g9,480p,1.0,30.0", "g9,0720p,1.0,30.0", "g9,720p,2\x0c,31.0",
     "conflict",
 ]
-NOISE_LINES = ["", "   ", "# comment", "  # indented, comment,with,commas"]
+NOISE_LINES = ["", "   ", "\xa0", "# comment", "  # indented, comment,with,commas"]
+# Whitespace that strip() removes; \x0c is a form feed, not a line break.
+PADS = ["", " ", "\t ", "\xa0", "\u2003", "\x0c"]
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def spelled(draw, value: float) -> str:
+    """``value`` written as float() reads it back: as repr gives it, in
+    Arabic-Indic digits, or with an underscore between two digits."""
+    text = repr(value)
+    style = draw(st.sampled_from(["repr", "repr", "arabic-indic", "underscore"]))
+    if style == "arabic-indic":
+        return text.translate(ARABIC_INDIC_DIGITS)
+    if style == "underscore":
+        for i in range(1, len(text)):
+            if text[i - 1].isdigit() and text[i].isdigit():
+                return f"{text[:i]}_{text[i:]}"
+    return text
 
 
 @st.composite
 def measurement_files(draw):
     """A measurement CSV as a file may arrive: comments and blank lines
-    anywhere, padded fields, non-standard NNNp tiers, groups interleaved
-    with unsorted bitrates, exact duplicate rows, and up to two injected
-    faults (a conflicting duplicate is one)."""
+    anywhere, fields padded with ASCII or Unicode whitespace, numbers in
+    any spelling float() reads, \\n or \\r\\n line ends, a gop id holding a
+    lone surrogate, non-standard NNNp tiers, groups in order or
+    interleaved with unsorted bitrates, exact duplicate rows, and up to
+    two injected faults (a conflicting duplicate is one)."""
     keys = draw(st.lists(
-        st.tuples(st.sampled_from(["g0", "g1", "g2", "g3"]),
+        st.tuples(st.sampled_from(["g0", "g1", "g2", "g\ud800"]),
                   st.sampled_from(["360p", "540p", "720p", "1080p", "240p", "1440p"])),
         min_size=1, max_size=8, unique=True,
     ))
@@ -184,9 +206,12 @@ def measurement_files(draw):
         extra = draw(st.lists(st.floats(0.1, 8.0), max_size=5))
         for bitrate in dict.fromkeys([*GRID_ENDS, *extra]):
             rows.append((gop_id, tier, bitrate, draw(st.floats(0.5, 99.0))))
-    rows = draw(st.permutations(rows))
-    pad = draw(st.sampled_from(["", " ", "\t "]))
-    lines = [pad.join(["", gop_id, ",", tier, ",", repr(b), ",", repr(q), ""])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    else:  # as a measurement harness writes them: group by group, by bitrate
+        rows.sort(key=lambda row: (keys.index(row[:2]), row[2]))
+    pad = draw(st.sampled_from(PADS))
+    lines = [pad.join(["", gop_id, ",", tier, ",", spelled(draw, b), ",", spelled(draw, q), ""])
              for gop_id, tier, b, q in rows]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.integers(0, len(lines) - 1))])
@@ -199,7 +224,27 @@ def measurement_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE_LINES)))
     header = draw(st.sampled_from([MEASUREMENT_HEADER] * 9 + ["gop,resolution,bitrate,psnr"]))
     head = draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2))
-    return "\n".join([*head, header, *lines]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([*head, header, *lines]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def block_files(draw):
+    """(text, block): a measurement file read in blocks of ``block``
+    lines, with comment, blank, faulty and conflicting lines put just
+    before, on and just after block boundaries."""
+    block = draw(st.integers(2, 4))
+    lines = draw(measurement_files()).split("\n")
+    rows = [line for line in lines if line.count(",") == 3 and not line.strip().startswith("#")]
+    spots = st.tuples(st.integers(1, max(1, len(lines) // block)), st.sampled_from([-1, 0, 1]))
+    for boundary, step in sorted(draw(st.lists(spots, min_size=1, max_size=3))):
+        line = draw(st.sampled_from([*FAULTS, *NOISE_LINES]))
+        if line == "conflict" and rows:  # a conflict, or an exact duplicate
+            gop_id, tier, bitrate, psnr = draw(st.sampled_from(rows)).split(",")
+            line = ",".join([gop_id, tier, bitrate, draw(st.sampled_from([psnr, "50.5"]))])
+        # Inserted in ascending order, each line keeps the index it is put at.
+        lines.insert(min(boundary * block + step, len(lines)), line)
+    return "\n".join(lines), block
 
 
 def outcome(fn):
@@ -210,38 +255,53 @@ def outcome(fn):
         return None, (type(exc), str(exc))
 
 
+def assert_matches_reference(text: str):
+    """``parse_measurements`` and ``resample_to_grid`` give what the
+    row-by-row reference gives for ``text``, bit for bit, or raise the
+    same error type with the same message."""
+    expected, expected_error = outcome(lambda: reference_parse(text, "gen.csv"))
+    mset, error = outcome(lambda: rl.parse_measurements(text, "gen.csv"))
+    assert error == expected_error
+    if error:
+        return
+    assert mset.groups == tuple(expected)
+    samples = [s for group in expected.values() for s in group]
+    assert mset.bitrates.tobytes() == np.array([s.bitrate for s in samples]).tobytes()
+    assert mset.psnr.tobytes() == np.array([s.psnr for s in samples]).tobytes()
+    assert mset.offsets.tolist() == np.cumsum([0, *map(len, expected.values())]).tolist()
+
+    def resample_each():
+        by_tier: dict = {}
+        for (gop_id, tier), group in expected.items():
+            ids, rows = by_tier.setdefault(tier, ([], []))
+            ids.append(gop_id)
+            rows.append(reference_resample(group, DIFF_GRID))
+        return by_tier
+
+    expected_vectors, expected_error = outcome(resample_each)
+    vectors, error = outcome(lambda: rl.resample_to_grid(mset, DIFF_GRID))
+    assert error == expected_error
+    if error:
+        return
+    assert list(vectors) == list(expected_vectors)
+    for tier, (ids, rows) in expected_vectors.items():
+        assert vectors[tier].gop_ids == tuple(ids)
+        assert vectors[tier].psnr.tobytes() == np.array(rows).tobytes()
+
+
 class TestColumnarIngest:
     @settings(max_examples=600, derandomize=True, deadline=None)
-    @given(text=measurement_files())
-    def test_matches_row_by_row_reference(self, text):
-        expected, expected_error = outcome(lambda: reference_parse(text, "gen.csv"))
-        mset, error = outcome(lambda: rl.parse_measurements(text, "gen.csv"))
-        assert error == expected_error
-        if error:
-            return
-        assert mset.groups == tuple(expected)
-        samples = [s for group in expected.values() for s in group]
-        assert mset.bitrates.tobytes() == np.array([s.bitrate for s in samples]).tobytes()
-        assert mset.psnr.tobytes() == np.array([s.psnr for s in samples]).tobytes()
-        assert mset.offsets.tolist() == np.cumsum([0, *map(len, expected.values())]).tolist()
+    @given(text=measurement_files(), block=st.sampled_from([1, 3, ingest.PARSE_BLOCK_LINES]))
+    def test_matches_row_by_row_reference(self, text, block):
+        with mock.patch.object(ingest, "PARSE_BLOCK_LINES", block):
+            assert_matches_reference(text)
 
-        def resample_each():
-            by_tier: dict = {}
-            for (gop_id, tier), group in expected.items():
-                ids, rows = by_tier.setdefault(tier, ([], []))
-                ids.append(gop_id)
-                rows.append(reference_resample(group, DIFF_GRID))
-            return by_tier
-
-        expected_vectors, expected_error = outcome(resample_each)
-        vectors, error = outcome(lambda: rl.resample_to_grid(mset, DIFF_GRID))
-        assert error == expected_error
-        if error:
-            return
-        assert list(vectors) == list(expected_vectors)
-        for tier, (ids, rows) in expected_vectors.items():
-            assert vectors[tier].gop_ids == tuple(ids)
-            assert vectors[tier].psnr.tobytes() == np.array(rows).tobytes()
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=block_files())
+    def test_faults_at_block_boundaries(self, case):
+        text, block = case
+        with mock.patch.object(ingest, "PARSE_BLOCK_LINES", block):
+            assert_matches_reference(text)
 
 
 class TestBuiltinModel:
@@ -331,3 +391,28 @@ def test_row_validation():
         with pytest.raises(ValidationError) as exc:
             rl.parse_measurements(f"{MEASUREMENT_HEADER}\n{row}\n")
         assert str(exc.value) == message
+
+
+# Peak memory that parse_measurements allocates, per character of input,
+# measured once (Python 3.11, tracemalloc) on the row-by-row parser the
+# block parser replaced. Splitting the whole file into fields at once
+# takes about twice that on its own.
+ROW_PARSER_PEAK_PER_CHAR = 4.37
+
+
+def test_parse_peak_memory_stays_near_the_row_parser():
+    rows = [MEASUREMENT_HEADER]
+    for g in range(1250):
+        for tier in ("360p", "540p", "720p", "1080p"):
+            for i in range(10):
+                rows.append(f"gop{g:05d},{tier},{0.2 + 0.6 * i + g * 1e-6!r},"
+                            f"{30 + 2.5 * i + (g % 7) * 0.125!r}")
+    text = "\n".join(rows) + "\n"
+    tracemalloc.start()
+    try:
+        mset = rl.parse_measurements(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mset) == 50_000
+    assert peak <= 1.25 * ROW_PARSER_PEAK_PER_CHAR * len(text)

@@ -36,8 +36,8 @@ def main() -> int:
         for cluster in model_set.clusters:
             _, vl, *_ = tables.decide(cluster, tier, target, vl_only)
             _, nzs, *_ = tables.decide(cluster, tier, target, nzs_only)
-            report = rl.savings_report({"vl": [(target, vl)], "nzs": [(target, nzs)]})
-            vl_saving, nzs_saving = (video.saving_percent for video in report.videos)
+            vl_saving = rl.savings_report([(target, vl)])["saving_percent"]
+            nzs_saving = rl.savings_report([(target, nzs)])["saving_percent"]
             print(f"{target:.3f},{cluster},{vl:.3f},{vl_saving:.2f},{nzs:.3f},{nzs_saving:.2f}")
     return 0
 

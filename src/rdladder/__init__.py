@@ -20,15 +20,11 @@ from .clustering import (
 from .decision import (
     OPERATING_RANGE,
     VL_SEARCH_RANGE,
-    CurveIntersection,
     DecisionConfig,
     DecisionTables,
     Modes,
-    NzsInterval,
     ObservationBatch,
     ResolutionLadder,
-    SavingsReport,
-    VlThreshold,
     build_ladder,
     curve_intersections,
     nzs_interval,

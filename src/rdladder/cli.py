@@ -205,20 +205,18 @@ def cmd_plotdata(args) -> int:
             for r in bitrates:
                 print(f"curve,{cluster},{tier.name},{r:.6g},{eval_cubic(model, r):.6g}")
         ladder = tables.ladders[cluster]
-        for i, bp in enumerate(ladder.breakpoints):
-            left = ladder.segments[i].tier
-            right = ladder.segments[i + 1].tier
+        for bp, left, right in zip(ladder.breakpoints, ladder.tiers, ladder.tiers[1:]):
             psnr = eval_cubic(model_set.model(cluster, right), bp)
             print(f"knee,{cluster},{left.name}/{right.name},{bp:.6g},{psnr:.6g}")
         for tier in model_set.tiers:
             threshold = tables.vl[(cluster, tier)]
             if threshold is not None:
-                print(f"vl_threshold,{cluster},{tier.name},{threshold.bitrate:.6g},{cfg.vl_psnr:.6g}")
+                print(f"vl_threshold,{cluster},{tier.name},{threshold:.6g},{cfg.vl_psnr:.6g}")
             interval = tables.nzs[(cluster, tier)]
             if interval is not None:
                 model = model_set.model(cluster, tier)
-                print(f"nzs_low,{cluster},{tier.name},{interval.lo:.6g},{eval_cubic(model, interval.lo):.6g}")
-                print(f"nzs_high,{cluster},{tier.name},{interval.hi:.6g},{eval_cubic(model, interval.hi):.6g}")
+                for record, r in zip(("nzs_low", "nzs_high"), interval):
+                    print(f"{record},{cluster},{tier.name},{r:.6g},{eval_cubic(model, r):.6g}")
     return EXIT_OK
 
 

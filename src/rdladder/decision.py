@@ -9,6 +9,7 @@ and the scripts all decide through it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -91,27 +92,14 @@ def _real_roots(coeffs_desc: Sequence[float]) -> list[float]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class CurveIntersection:
-    """A bitrate where two curves meet. ``tangential`` marks touch points
-    (even multiplicity): the quality ordering does not flip there."""
-
-    bitrate: float
-    tangential: bool = False
-
-
-def curve_intersections(
-    a: CubicRD,
-    b: CubicRD,
-    r_range: tuple[float, float],
-) -> list[CurveIntersection]:
-    """Real roots of (a - b)(R) = 0 inside ``r_range``, ascending, with
-    roots closer than 1e-6 merged. Raises IdenticalCurvesError when the curves
-    coincide coefficient-wise (every bitrate 'intersects', which is not an
-    empty result)."""
-    lo, hi = r_range
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or lo >= hi:
-        raise ValidationError("intersection range must satisfy 0 < lo < hi")
+def curve_intersections(a: CubicRD, b: CubicRD) -> list[float]:
+    """Bitrates in ``OPERATING_RANGE`` where the curves cross: the real
+    roots of (a - b)(R) = 0, ascending, with roots closer than 1e-6 merged.
+    Touch points, where (a - b) keeps its sign, are left out: the quality
+    ordering does not flip there. Raises IdenticalCurvesError when the
+    curves coincide coefficient-wise (every bitrate 'intersects', which is
+    not an empty result)."""
+    lo, hi = OPERATING_RANGE
     diff = np.asarray(
         [a.c3 - b.c3, a.c2 - b.c2, a.c1 - b.c1, a.c0 - b.c0], dtype=float
     )
@@ -134,67 +122,45 @@ def curve_intersections(
             abs(merged[i + 1] - r) if i + 1 < len(merged) else math.inf,
         )
         h = min(h, gap / 4.0)
-        left = float(np.polyval(diff, r - h))
-        right = float(np.polyval(diff, r + h))
-        out.append(CurveIntersection(bitrate=r, tangential=left * right > 0.0))
+        if float(np.polyval(diff, r - h)) * float(np.polyval(diff, r + h)) <= 0.0:
+            out.append(r)
     return out
 
 
 @dataclass(frozen=True)
-class LadderSegment:
-    lo: float
-    hi: float
-    tier: ResolutionTier
-
-
-@dataclass(frozen=True)
 class ResolutionLadder:
-    """Piecewise map from bitrate to the best resolution for one cluster.
-
-    Segments tile the operating range exactly. Boundaries belong to the
-    segment on their left (the lower-bitrate side).
+    """Piecewise map from bitrate to the best resolution for one cluster,
+    tiling ``OPERATING_RANGE``: ``tiers[i]`` holds the bitrates above
+    ``breakpoints[i - 1]`` up to and including ``breakpoints[i]``, and the
+    last tier the rest of the range.
     """
 
     cluster: int
-    segments: tuple[LadderSegment, ...]
+    breakpoints: tuple[float, ...]
+    tiers: tuple[ResolutionTier, ...]
 
     def __post_init__(self):
-        if not self.segments:
-            raise ValidationError("ladder needs at least one segment")
-        for prev, nxt in zip(self.segments, self.segments[1:]):
-            if prev.hi != nxt.lo:
-                raise ValidationError("ladder segments must tile the range contiguously")
-            if prev.tier == nxt.tier:
-                raise ValidationError("adjacent ladder segments must differ in tier")
-        for seg in self.segments:
-            if seg.lo >= seg.hi:
-                raise ValidationError("ladder segment bounds must be increasing")
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (self.segments[0].lo, self.segments[-1].hi)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(seg.hi for seg in self.segments[:-1])
+        if len(self.tiers) != len(self.breakpoints) + 1:
+            raise ValidationError("a ladder needs one more tier than breakpoints")
+        edges = (OPERATING_RANGE[0], *self.breakpoints, OPERATING_RANGE[1])
+        if not all(left < right for left, right in zip(edges, edges[1:])):
+            raise ValidationError("ladder breakpoints must increase strictly inside the operating range")
+        if any(left == right for left, right in zip(self.tiers, self.tiers[1:])):
+            raise ValidationError("adjacent ladder tiers must differ")
 
     def tier_at(self, r: float) -> ResolutionTier:
-        """Tier for a target bitrate; out-of-range targets clamp to the
-        nearest end. A breakpoint bitrate belongs to its left segment."""
-        lo, hi = self.span
-        r = min(max(r, lo), hi)
-        for seg in self.segments:
-            if r <= seg.hi:
-                return seg.tier
-        return self.segments[-1].tier
+        """Tier for a target bitrate; out-of-range targets get the nearest
+        end's tier. A breakpoint bitrate belongs to the tier on its left."""
+        if math.isnan(r):
+            raise ValidationError("ladder bitrate must not be NaN")
+        return self.tiers[bisect.bisect_left(self.breakpoints, r)]
 
 
 def build_ladder(model_set: ClusterModelSet, cluster: int) -> ResolutionLadder:
     """Partition the operating range at the cluster's pairwise curve
     intersections and keep, per segment, the tier with the highest quality
     at the segment midpoint (quality ties go to the higher tier).
-    Tangential intersections never flip the argmax and create no
-    breakpoints; adjacent same-tier segments are merged."""
+    Adjacent same-tier segments are merged."""
     if cluster not in model_set.clusters:
         raise ValidationError(f"unknown cluster index {cluster}")
     lo, hi = OPERATING_RANGE
@@ -205,10 +171,10 @@ def build_ladder(model_set: ClusterModelSet, cluster: int) -> ResolutionLadder:
     for i, t1 in enumerate(tiers):
         for t2 in tiers[i + 1 :]:
             try:
-                hits = curve_intersections(curves[t1], curves[t2], OPERATING_RANGE)
+                hits = curve_intersections(curves[t1], curves[t2])
             except IdenticalCurvesError:
                 continue
-            cuts.extend(x.bitrate for x in hits if not x.tangential and lo < x.bitrate < hi)
+            cuts.extend(r for r in hits if lo < r < hi)
 
     merged_cuts: list[float] = []
     for r in sorted(cuts):
@@ -217,72 +183,42 @@ def build_ladder(model_set: ClusterModelSet, cluster: int) -> ResolutionLadder:
         merged_cuts.append(r)
 
     edges = [lo, *merged_cuts, hi]
-    segments: list[LadderSegment] = []
+    segment_tiers = []
     for seg_lo, seg_hi in zip(edges, edges[1:]):
         mid = 0.5 * (seg_lo + seg_hi)
         qualities = {t: eval_cubic(curves[t], mid) for t in tiers}
         best_q = max(qualities.values())
-        tier = max(t for t, q in qualities.items() if q >= best_q - _TIER_TIE_TOL)
-        if segments and segments[-1].tier == tier:
-            segments[-1] = LadderSegment(segments[-1].lo, seg_hi, tier)
-        else:
-            segments.append(LadderSegment(seg_lo, seg_hi, tier))
-    return ResolutionLadder(cluster=cluster, segments=tuple(segments))
+        segment_tiers.append(max(t for t, q in qualities.items() if q >= best_q - _TIER_TIE_TOL))
+    changes = [i for i in range(1, len(segment_tiers)) if segment_tiers[i] != segment_tiers[i - 1]]
+    return ResolutionLadder(
+        cluster=cluster,
+        breakpoints=tuple(edges[i] for i in changes),
+        tiers=(segment_tiers[0], *(segment_tiers[i] for i in changes)),
+    )
 
 
-@dataclass(frozen=True)
-class VlThreshold:
-    """Minimal bitrate predicted to reach the visually-lossless quality.
-
-    ``clamped`` marks curves already at/above the target at the search
-    range minimum; ``extrapolated`` marks thresholds outside the curve's
-    fitted bitrate span.
-    """
-
-    bitrate: float
-    clamped: bool = False
-    extrapolated: bool = False
-
-
-def vl_threshold(model: CubicRD, cfg: DecisionConfig) -> Optional[VlThreshold]:
+def vl_threshold(model: CubicRD, cfg: DecisionConfig) -> Optional[float]:
     """Smallest bitrate in the search range where the curve crosses
     ``cfg.vl_psnr`` on a rising branch; None when the curve never gets
     there. A curve already at/above the target at the range minimum clamps
-    to that minimum."""
+    to that minimum. A threshold ``r`` is extrapolated when
+    ``not model.covers(r)``."""
     lo, hi = VL_SEARCH_RANGE
     if eval_cubic(model, lo) >= cfg.vl_psnr:
-        return VlThreshold(bitrate=lo, clamped=True, extrapolated=not model.covers(lo))
+        return lo
     candidates = [
         r
         for r in _real_roots([model.c3, model.c2, model.c1, model.c0 - cfg.vl_psnr])
         if lo <= r <= hi and eval_derivative(model, r) > 0.0
     ]
-    if not candidates:
-        return None
-    r = min(candidates)
-    return VlThreshold(bitrate=r, extrapolated=not model.covers(r))
+    return min(candidates) if candidates else None
 
 
-@dataclass(frozen=True)
-class NzsInterval:
-    """Bitrate interval where the curve's slope stays below the
-    near-zero-slope threshold, clamped to the operating range."""
-
-    lo: float
-    hi: float
-    clamped_lo: bool = False
-    clamped_hi: bool = False
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValidationError("near-zero-slope interval must have lo < hi")
-
-
-def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[NzsInterval]:
+def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[tuple[float, float]]:
     """Solve slope(R) = cfg.nzs_slope; when the slope dips below the
-    threshold between two real roots, return that interval clamped to the
-    operating range (None when the dip never happens or clamping empties
-    the interval)."""
+    threshold between two real roots, return that interval as (lo, hi),
+    clamped to the operating range (None when the dip never happens or
+    clamping empties the interval)."""
     a = 3.0 * model.c3
     b = 2.0 * model.c2
     c = model.c1 - cfg.nzs_slope
@@ -298,9 +234,7 @@ def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[NzsInterval]:
     r1, r2 = sorted((q / a, c / q)) if q != 0.0 else (-sqrt_disc / (2 * a), sqrt_disc / (2 * a))
     op_lo, op_hi = OPERATING_RANGE
     lo, hi = max(r1, op_lo), min(r2, op_hi)
-    if lo >= hi:
-        return None
-    return NzsInterval(lo=lo, hi=hi, clamped_lo=r1 < op_lo, clamped_hi=r2 > op_hi)
+    return (lo, hi) if lo < hi else None
 
 
 @dataclass(frozen=True)
@@ -362,55 +296,24 @@ def gather_groups(offsets: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray]:
     return rows, gathered
 
 
-@dataclass(frozen=True)
-class VideoSavings:
-    video_id: str
-    total_target: float
-    total_proposed: float
-    saving_percent: float
-
-
-@dataclass(frozen=True)
-class SavingsReport:
-    videos: tuple[VideoSavings, ...]
-    total_target: float
-    total_proposed: float
-    saving_percent: float
-
-
-def savings_report(groups: Mapping[str, Sequence[tuple[float, float]]]) -> SavingsReport:
-    """Totals and bitrate-saving percentages per video and overall, from
-    (target, proposed) pairs grouped by video id. Saving is
-    (sum(target) - sum(proposed)) / sum(target) * 100."""
-    if not groups or all(not rows for rows in groups.values()):
-        raise ValidationError("savings report needs at least one (target, proposed) row")
-    videos = []
-    for video_id, rows in groups.items():
-        if not rows:
-            raise ValidationError(f"video {video_id!r} has no rows")
-        for target, proposed in rows:
-            if target <= 0 or proposed <= 0:
-                raise ValidationError(f"video {video_id!r}: bitrates must be > 0")
-            if proposed > target:
-                raise ValidationError(f"video {video_id!r}: proposed exceeds target")
-        total_target = float(sum(t for t, _ in rows))
-        total_proposed = float(sum(p for _, p in rows))
-        videos.append(
-            VideoSavings(
-                video_id=video_id,
-                total_target=total_target,
-                total_proposed=total_proposed,
-                saving_percent=100.0 * (total_target - total_proposed) / total_target,
-            )
-        )
-    total_target = sum(v.total_target for v in videos)
-    total_proposed = sum(v.total_proposed for v in videos)
-    return SavingsReport(
-        videos=tuple(videos),
-        total_target=total_target,
-        total_proposed=total_proposed,
-        saving_percent=100.0 * (total_target - total_proposed) / total_target,
-    )
+def savings_report(pairs: Sequence[tuple[float, float]]) -> dict:
+    """The totals of (target, proposed) bitrate pairs and the saving,
+    (sum(target) - sum(proposed)) / sum(target) * 100, as the advice
+    document's ``{"total_target", "total_proposed", "saving_percent"}``."""
+    if not pairs:
+        raise ValidationError("savings report needs at least one (target, proposed) pair")
+    for target, proposed in pairs:
+        if target <= 0 or proposed <= 0:
+            raise ValidationError("savings report bitrates must be > 0")
+        if proposed > target:
+            raise ValidationError("savings report: proposed exceeds target")
+    total_target = float(sum(t for t, _ in pairs))
+    total_proposed = float(sum(p for _, p in pairs))
+    return {
+        "total_target": total_target,
+        "total_proposed": total_proposed,
+        "saving_percent": 100.0 * (total_target - total_proposed) / total_target,
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,8 +330,8 @@ class DecisionTables:
     model_set: ClusterModelSet
     cfg: DecisionConfig
     ladders: Mapping[int, ResolutionLadder] = field(init=False, repr=False)
-    vl: Mapping[tuple[int, ResolutionTier], Optional[VlThreshold]] = field(init=False, repr=False)
-    nzs: Mapping[tuple[int, ResolutionTier], Optional[NzsInterval]] = field(init=False, repr=False)
+    vl: Mapping[tuple[int, ResolutionTier], Optional[float]] = field(init=False, repr=False)
+    nzs: Mapping[tuple[int, ResolutionTier], Optional[tuple[float, float]]] = field(init=False, repr=False)
     coeffs: np.ndarray = field(init=False, repr=False)
     tier_index: Mapping[ResolutionTier, int] = field(init=False, repr=False)
 
@@ -540,15 +443,7 @@ class DecisionTables:
                 "rationale": f"cluster {cluster} (rms {distance:.3f} dB){notes}",
             })
             pairs.append((target_r, bitrate))
-        savings = None
-        if pairs:
-            report = savings_report({"all": pairs})
-            savings = {
-                "total_target": report.total_target,
-                "total_proposed": report.total_proposed,
-                "saving_percent": report.saving_percent,
-            }
-        return {"recommendations": entries, "savings": savings}
+        return {"recommendations": entries, "savings": savings_report(pairs) if pairs else None}
 
     def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
         """(tier, proposed bitrate, modes applied, predicted PSNR, notes)
@@ -577,15 +472,15 @@ class DecisionTables:
 
         bitrate = target_r
         threshold = self.vl[(cluster, tier)]
-        if modes.vl and threshold is not None and threshold.bitrate < bitrate:
+        if modes.vl and threshold is not None and threshold < bitrate:
             applied.append("vl")
-            notes.append(f"visually-lossless cap {bitrate:g} -> {threshold.bitrate:g}")
-            bitrate = threshold.bitrate
+            notes.append(f"visually-lossless cap {bitrate:g} -> {threshold:g}")
+            bitrate = threshold
         interval = self.nzs[(cluster, tier)]
-        if modes.nzs and interval is not None and interval.lo < bitrate <= interval.hi:
+        if modes.nzs and interval is not None and interval[0] < bitrate <= interval[1]:
             applied.append("nzs")
-            notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval.lo:g}")
-            bitrate = interval.lo
+            notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval[0]:g}")
+            bitrate = interval[0]
         if bitrate <= 0:
             raise ValidationError("proposed bitrate must be > 0")
         if bitrate > target_r:

@@ -33,6 +33,9 @@ from .errors import ValidationError
 from .tiers import ResolutionTier, tier_from_name
 
 RECOMMEND_PATH = "/v1/recommend"
+# Longest request body read (bytes); a longer declared Content-Length is
+# answered 413 before any of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def _number(value) -> float | None:
@@ -169,6 +172,9 @@ def make_server(
             if length < 0:
                 # rfile.read(-1) would wait for the client to close.
                 self._send(400, {"error": "Content-Length must be a non-negative integer"})
+                return
+            if length > MAX_BODY_BYTES:
+                self._send(413, {"error": "request body too large"})
                 return
             try:
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import (
-    OPERATING_RANGE,
-    DecisionConfig,
-    DecisionTables,
-    Modes,
-    curve_intersections,
-    savings_report,
-)
+from .decision import DecisionConfig, DecisionTables, Modes, curve_intersections, savings_report
 from .ingest import builtin_model
 from .tiers import tier_from_name
 
@@ -163,18 +156,17 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         hits = curve_intersections(
             model.model(cluster, tier_from_name(lo_tier)),
             model.model(cluster, tier_from_name(hi_tier)),
-            OPERATING_RANGE,
         )
         name = f"cluster {cluster} {lo_tier}/{hi_tier} knee"
         if not hits:
             rows.append(VerifyRow("knee", name, "none", f"{expected:.3f}", FAIL))
         else:
-            nearest = min((x.bitrate for x in hits), key=lambda r: abs(r - expected))
+            nearest = min(hits, key=lambda r: abs(r - expected))
             rows.append(_check("knee", name, nearest, expected, KNEE_TOL))
 
     ladder1 = tables.ladders[1]
     bps = ", ".join(f"{b:.4f}" for b in ladder1.breakpoints)
-    tiers1 = "/".join(s.tier.name for s in ladder1.segments)
+    tiers1 = "/".join(tier.name for tier in ladder1.tiers)
     rows.append(
         VerifyRow(
             "knee",
@@ -196,7 +188,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         tier = tier_from_name(tier_name)
         found = tables.vl[(cluster, tier)]
         name = f"cluster {cluster} {tier_name} visually-lossless threshold"
-        computed = "none" if found is None else f"{found.bitrate:.4f}"
+        computed = "none" if found is None else f"{found:.4f}"
         if (cluster, tier_name) in NON_DERIVABLE_VL:
             rows.append(
                 VerifyRow(
@@ -208,10 +200,9 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
         elif found is None:
             rows.append(VerifyRow("visually-lossless", name, "none", f"{expected:.3f}", FAIL))
         else:
-            note = "beyond fitted span (extrapolated)" if found.extrapolated else ""
-            rows.append(
-                _check("visually-lossless", name, found.bitrate, expected, VL_TOL, note=note)
-            )
+            extrapolated = not model.model(cluster, tier).covers(found)
+            note = "beyond fitted span (extrapolated)" if extrapolated else ""
+            rows.append(_check("visually-lossless", name, found, expected, VL_TOL, note=note))
 
     for (cluster, tier_name), expected_iv in sorted(REFERENCE_NZS.items(), key=_by_cluster_then_tier):
         tier = tier_from_name(tier_name)
@@ -221,7 +212,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
             rows.append(
                 VerifyRow(
                     "near-zero-slope", name,
-                    "none" if found is None else f"[{found.lo:.4f}, {found.hi:.4f}]",
+                    "none" if found is None else f"[{found[0]:.4f}, {found[1]:.4f}]",
                     "none",
                     PASS if found is None else FAIL,
                 )
@@ -234,14 +225,11 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
                 )
             )
         else:
-            ok = (
-                abs(found.lo - expected_iv[0]) <= NZS_TOL
-                and abs(found.hi - expected_iv[1]) <= NZS_TOL
-            )
+            ok = all(abs(f - e) <= NZS_TOL for f, e in zip(found, expected_iv))
             rows.append(
                 VerifyRow(
                     "near-zero-slope", name,
-                    f"[{found.lo:.4f}, {found.hi:.4f}]",
+                    f"[{found[0]:.4f}, {found[1]:.4f}]",
                     f"[{expected_iv[0]:.3f}, {expected_iv[1]:.3f}]",
                     PASS if ok else FAIL,
                 )
@@ -283,18 +271,16 @@ def _scenario_rows(tables, section, modes, scenarios, discrepancies, published_f
         ]
 
     rows = []
-    checked = savings_report({video: pairs(video, t) for video, (t, _, _) in scenarios.items()})
-    for video in checked.videos:
-        _, expected_total, expected_saving = scenarios[video.video_id]
-        rows.append(_check(section, f"{video.video_id} model total", video.total_proposed,
+    for video, (target, expected_total, expected_saving) in scenarios.items():
+        report = savings_report(pairs(video, target))
+        rows.append(_check(section, f"{video} model total", report["total_proposed"],
                            expected_total, TOTAL_TOL))
-        rows.append(_check(section, f"{video.video_id} saving %", video.saving_percent,
+        rows.append(_check(section, f"{video} saving %", report["saving_percent"],
                            expected_saving, SAVING_TOL))
-    documented = savings_report({video: pairs(video, t) for video, (t, _) in discrepancies.items()})
-    for video in documented.videos:
-        published = published_format.format(discrepancies[video.video_id][1])
-        rows.append(VerifyRow(section, f"{video.video_id} model total",
-                              f"{video.total_proposed:.4f}", published, DISCREPANCY, note=note))
+    for video, (target, published) in discrepancies.items():
+        total = savings_report(pairs(video, target))["total_proposed"]
+        rows.append(VerifyRow(section, f"{video} model total", f"{total:.4f}",
+                              published_format.format(published), DISCREPANCY, note=note))
     return rows
 
 

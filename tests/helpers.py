@@ -283,15 +283,15 @@ def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) ->
 
     bitrate = target_r
     threshold = rl.vl_threshold(model_set.model(cluster, tier), cfg)
-    if modes.vl and threshold is not None and target_r > threshold.bitrate:
+    if modes.vl and threshold is not None and target_r > threshold:
         applied.append("vl")
-        notes.append(f"visually-lossless cap {bitrate:g} -> {threshold.bitrate:g}")
-        bitrate = threshold.bitrate
+        notes.append(f"visually-lossless cap {bitrate:g} -> {threshold:g}")
+        bitrate = threshold
     interval = rl.nzs_interval(model_set.model(cluster, tier), cfg)
-    if modes.nzs and interval is not None and interval.lo < bitrate <= interval.hi:
+    if modes.nzs and interval is not None and interval[0] < bitrate <= interval[1]:
         applied.append("nzs")
-        notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval.lo:g}")
-        bitrate = interval.lo
+        notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval[0]:g}")
+        bitrate = interval[0]
 
     final_model = model_set.model(cluster, tier)
     predicted = rl.eval_cubic(final_model, bitrate)
@@ -329,15 +329,7 @@ def scalar_advise(batch, model_set, cfg, modes, target_r) -> dict:
         except RDLadderError as exc:
             entries.append({"gop_id": gop_id, "error": str(exc)})
     pairs = [(e["target_bitrate"], e["proposed_bitrate"]) for e in entries if "error" not in e]
-    savings = None
-    if pairs:
-        report = rl.savings_report({"all": pairs})
-        savings = {
-            "total_target": report.total_target,
-            "total_proposed": report.total_proposed,
-            "saving_percent": report.saving_percent,
-        }
-    return {"recommendations": entries, "savings": savings}
+    return {"recommendations": entries, "savings": rl.savings_report(pairs) if pairs else None}
 
 
 def _reference_parse_gop(entry, index: int):

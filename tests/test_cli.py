@@ -64,7 +64,7 @@ class TestTrain:
         for cluster in paper_model.clusters:
             expected = rl.build_ladder(paper_model, cluster)
             got = rl.build_ladder(trained, cluster)
-            assert [s.tier for s in got.segments] == [s.tier for s in expected.segments]
+            assert got.tiers == expected.tiers
             assert got.breakpoints == pytest.approx(expected.breakpoints, abs=0.05)
 
     def test_k_too_large_exits_1(self, tmp_path, paper_model, capsys):

@@ -26,18 +26,19 @@ class TestIntersections:
         [(1, 1.061), (2, 1.499), (3, 1.647)],
     )
     def test_reference_knees(self, paper_model, cfg, cluster, expected):
-        hits = rl.curve_intersections(
-            paper_model.model(cluster, T720), paper_model.model(cluster, T1080), (0.2, 6.0)
-        )
+        a, b = paper_model.model(cluster, T720), paper_model.model(cluster, T1080)
+        hits = rl.curve_intersections(a, b)
         assert len(hits) == 1
-        assert hits[0].bitrate == pytest.approx(expected, abs=0.005)
-        assert not hits[0].tangential
+        assert hits[0] == pytest.approx(expected, abs=0.005)
+        # A crossing: the quality ordering flips there.
+        d = np.polyval(diff_coeffs(a, b), [hits[0] - 1e-3, hits[0] + 1e-3])
+        assert d[0] * d[1] < 0
 
     def test_matches_bisection_oracle_on_reference_pairs(self, paper_model):
         for cluster in paper_model.clusters:
             for ta, tb in itertools.combinations(paper_model.tiers, 2):
                 a, b = paper_model.model(cluster, ta), paper_model.model(cluster, tb)
-                got = [x.bitrate for x in rl.curve_intersections(a, b, (0.2, 6.0))]
+                got = rl.curve_intersections(a, b)
                 oracle = bisection_roots(diff_coeffs(a, b), 0.2, 6.0)
                 assert len(got) == len(oracle)
                 for g, o in zip(got, oracle):
@@ -46,21 +47,18 @@ class TestIntersections:
     def test_parallel_curves_no_intersection(self):
         base = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
         lifted = rl.CubicRD(31.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
-        assert rl.curve_intersections(base, lifted, (0.2, 6.0)) == []
+        assert rl.curve_intersections(base, lifted) == []
 
     def test_identical_curves_signal(self):
         base = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
         with pytest.raises(IdenticalCurvesError):
-            rl.curve_intersections(base, base, (0.2, 6.0))
+            rl.curve_intersections(base, base)
 
-    def test_tangential_intersection_flagged(self):
+    def test_touch_point_is_not_a_crossing(self):
         # a - b == (R - 2)^2: the curves touch at 2 without crossing.
         b = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
         a = rl.CubicRD(34.0, 1.0, 0.0, 0.1, valid_range=(0.2, 6.0))
-        hits = rl.curve_intersections(a, b, (0.2, 6.0))
-        assert len(hits) == 1
-        assert hits[0].bitrate == pytest.approx(2.0, abs=1e-4)
-        assert hits[0].tangential
+        assert rl.curve_intersections(a, b) == []
 
     def test_symmetry(self, paper_model):
         pairs = [
@@ -70,36 +68,68 @@ class TestIntersections:
         cubics = random_cubics(20, seed=100)
         pairs += list(zip(cubics[:10], cubics[10:]))
         for a, b in pairs:
-            ab = [(x.bitrate, x.tangential) for x in rl.curve_intersections(a, b, (0.2, 6.0))]
-            ba = [(x.bitrate, x.tangential) for x in rl.curve_intersections(b, a, (0.2, 6.0))]
-            assert ab == ba
+            assert rl.curve_intersections(a, b) == rl.curve_intersections(b, a)
 
 
 class TestLadder:
     def test_cluster6_single_segment(self, paper_model):
         ladder = rl.build_ladder(paper_model, 6)
-        assert [seg.tier for seg in ladder.segments] == [T1080]
+        assert ladder.tiers == (T1080,)
         assert ladder.breakpoints == ()
 
     def test_cluster2_720_then_1080(self, paper_model):
         ladder = rl.build_ladder(paper_model, 2)
-        assert [seg.tier for seg in ladder.segments] == [T720, T1080]
+        assert ladder.tiers == (T720, T1080)
         assert ladder.breakpoints[0] == pytest.approx(1.499, abs=0.005)
 
     def test_cluster3_ends_with_720_then_1080(self, paper_model):
         ladder = rl.build_ladder(paper_model, 3)
-        tiers = [seg.tier for seg in ladder.segments]
-        assert tiers[-2:] == [T720, T1080]
+        tiers = ladder.tiers
+        assert tiers[-2:] == (T720, T1080)
         assert ladder.breakpoints[-1] == pytest.approx(1.647, abs=0.005)
         assert tiers[0] == T360
         assert ladder.breakpoints[0] == pytest.approx(0.239, abs=0.005)
 
     def test_segments_tile_operating_range(self, paper_model):
+        lo, hi = rl.OPERATING_RANGE
         for cluster in paper_model.clusters:
             ladder = rl.build_ladder(paper_model, cluster)
-            assert ladder.span == rl.OPERATING_RANGE
-            for prev, nxt in zip(ladder.segments, ladder.segments[1:]):
-                assert prev.hi == nxt.lo
+            edges = (lo, *ladder.breakpoints, hi)
+            assert all(left < right for left, right in zip(edges, edges[1:]))
+            assert len(ladder.tiers) == len(ladder.breakpoints) + 1
+        for breakpoints, tiers in [
+            ((), ()),                           # no tier
+            ((1.0,), (T720,)),                  # one tier short
+            ((1.0,), (T540, T720, T1080)),      # one tier too many
+            ((2.0, 1.0), (T540, T720, T1080)),  # breakpoints out of order
+            ((1.0, 1.0), (T540, T720, T1080)),  # repeated breakpoint
+            ((lo,), (T720, T1080)),             # at the range's ends
+            ((hi,), (T720, T1080)),
+            ((0.1,), (T720, T1080)),            # outside the range
+            ((7.0,), (T720, T1080)),
+            ((math.nan,), (T720, T1080)),
+            ((1.0,), (T1080, T1080)),           # equal adjacent tiers
+        ]:
+            with pytest.raises(ValidationError):
+                rl.ResolutionLadder(1, breakpoints, tiers)
+
+    def test_touching_top_tiers_make_no_breakpoint(self):
+        # 1080p - 720p == (R - 2)^2: the top two tiers touch at 2 Mbps
+        # without crossing; the lower tiers stay below both.
+        grid = rl.BitrateGrid.default()
+        models = {
+            (1, T360): rl.CubicRD(20.0, 1.0, 0.0, 0.0, valid_range=(0.2, 6.0)),
+            (1, T540): rl.CubicRD(22.0, 1.0, 0.0, 0.0, valid_range=(0.2, 6.0)),
+            (1, T720): rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0)),
+            (1, T1080): rl.CubicRD(34.0, 1.0, 0.0, 0.1, valid_range=(0.2, 6.0)),
+        }
+        centroids = {key: (40.0,) * len(grid) for key in models}
+        model_set = rl.ClusterModelSet(k=1, grid=grid, tiers=(T360, T540, T720, T1080),
+                                       centroids=centroids, models=models, seed=0,
+                                       provenance="touch")
+        ladder = rl.build_ladder(model_set, 1)
+        assert not any(abs(bp - 2.0) < 0.1 for bp in ladder.breakpoints)
+        assert ladder.tier_at(2.0) == T1080
 
     def test_boundary_belongs_to_left_segment(self, paper_model):
         ladder = rl.build_ladder(paper_model, 2)
@@ -109,8 +139,12 @@ class TestLadder:
 
     def test_out_of_range_targets_clamp(self, paper_model):
         ladder = rl.build_ladder(paper_model, 3)
-        assert ladder.tier_at(0.01) == ladder.segments[0].tier
-        assert ladder.tier_at(50.0) == ladder.segments[-1].tier
+        assert ladder.tier_at(0.01) == ladder.tiers[0]
+        assert ladder.tier_at(50.0) == ladder.tiers[-1]
+
+    def test_nan_bitrate_has_no_tier(self, paper_model):
+        with pytest.raises(ValidationError):
+            rl.build_ladder(paper_model, 3).tier_at(math.nan)
 
     def test_argmax_invariance(self, paper_model):
         rng = np.random.default_rng(4)
@@ -130,24 +164,22 @@ class TestVlThreshold:
     )
     def test_reference_values_1080p(self, paper_model, cfg, cluster, expected):
         found = rl.vl_threshold(paper_model.model(cluster, T1080), cfg)
-        assert found is not None and not found.clamped
-        assert found.bitrate == pytest.approx(expected, abs=0.01)
+        assert found is not None and found != rl.VL_SEARCH_RANGE[0]
+        assert found == pytest.approx(expected, abs=0.01)
         model = paper_model.model(cluster, T1080)
-        assert rl.eval_cubic(model, found.bitrate) == pytest.approx(cfg.vl_psnr, abs=1e-6)
-        assert rl.eval_derivative(model, found.bitrate) > 0
+        assert rl.eval_cubic(model, found) == pytest.approx(cfg.vl_psnr, abs=1e-6)
+        assert rl.eval_derivative(model, found) > 0
         # Just below the threshold the curve is still under the target.
-        assert rl.eval_cubic(model, found.bitrate - 1e-4) < cfg.vl_psnr
+        assert rl.eval_cubic(model, found - 1e-4) < cfg.vl_psnr
 
     def test_extrapolation_flag(self, paper_model, cfg):
-        beyond = rl.vl_threshold(paper_model.model(1, T1080), cfg)
-        within = rl.vl_threshold(paper_model.model(5, T1080), cfg)
-        assert beyond.extrapolated and not within.extrapolated
+        beyond, within = paper_model.model(1, T1080), paper_model.model(5, T1080)
+        assert not beyond.covers(rl.vl_threshold(beyond, cfg))
+        assert within.covers(rl.vl_threshold(within, cfg))
 
     def test_always_lossless_clamps_to_range_minimum(self, cfg):
         model = rl.CubicRD(45.0, 0.01, 0.001, 0.0001, valid_range=(0.2, 6.0))
-        found = rl.vl_threshold(model, cfg)
-        assert found.bitrate == rl.VL_SEARCH_RANGE[0] == 0.2
-        assert found.clamped
+        assert rl.vl_threshold(model, cfg) == rl.VL_SEARCH_RANGE[0] == 0.2
 
     def test_unreachable_quality_is_absent(self, cfg):
         model = rl.CubicRD(20.0, 0.1, 0.0, 0.0, valid_range=(0.2, 6.0))
@@ -156,11 +188,10 @@ class TestVlThreshold:
     def test_decreasing_branch_rejected(self, cfg):
         # Crosses 40 dB only while falling: no usable threshold.
         model = rl.CubicRD(45.0, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
-        found = rl.vl_threshold(model, cfg)
-        assert found is not None and found.clamped  # already >= 40 at range min
+        # Already >= 40 at the range minimum: clamped to it.
+        assert rl.vl_threshold(model, cfg) == rl.VL_SEARCH_RANGE[0]
         shifted = rl.CubicRD(40.5, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
-        clamped = rl.vl_threshold(shifted, cfg)
-        assert clamped is not None and clamped.clamped
+        assert rl.vl_threshold(shifted, cfg) == rl.VL_SEARCH_RANGE[0]
         low = rl.CubicRD(39.0, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
         assert rl.vl_threshold(low, cfg) is None
 
@@ -168,12 +199,12 @@ class TestVlThreshold:
 class TestNzsInterval:
     def test_reference_intervals(self, paper_model, cfg):
         five = rl.nzs_interval(paper_model.model(5, T1080), cfg)
-        assert (five.lo, five.hi) == (
+        assert five == (
             pytest.approx(3.423, abs=0.02),
             pytest.approx(4.414, abs=0.02),
         )
         six = rl.nzs_interval(paper_model.model(6, T1080), cfg)
-        assert (six.lo, six.hi) == (
+        assert six == (
             pytest.approx(3.293, abs=0.02),
             pytest.approx(4.575, abs=0.02),
         )
@@ -183,24 +214,24 @@ class TestNzsInterval:
             assert rl.nzs_interval(paper_model.model(cluster, T1080), cfg) is None
 
     def test_endpoint_slopes_hit_threshold(self, paper_model, cfg):
-        interval = rl.nzs_interval(paper_model.model(6, T1080), cfg)
+        lo, hi = rl.nzs_interval(paper_model.model(6, T1080), cfg)
         model = paper_model.model(6, T1080)
-        assert rl.eval_derivative(model, interval.lo) == pytest.approx(cfg.nzs_slope, abs=1e-6)
-        assert rl.eval_derivative(model, interval.hi) == pytest.approx(cfg.nzs_slope, abs=1e-6)
+        assert rl.eval_derivative(model, lo) == pytest.approx(cfg.nzs_slope, abs=1e-6)
+        assert rl.eval_derivative(model, hi) == pytest.approx(cfg.nzs_slope, abs=1e-6)
 
     def test_interior_slopes_below_threshold(self, paper_model, cfg):
         rng = np.random.default_rng(8)
         for cluster in (5, 6):
             model = paper_model.model(cluster, T1080)
-            interval = rl.nzs_interval(model, cfg)
-            for r in rng.uniform(interval.lo + 1e-9, interval.hi - 1e-9, size=100):
+            lo, hi = rl.nzs_interval(model, cfg)
+            for r in rng.uniform(lo + 1e-9, hi - 1e-9, size=100):
                 assert rl.eval_derivative(model, float(r)) < cfg.nzs_slope
 
     def test_clamping_to_operating_range(self, paper_model):
         wide = rl.DecisionConfig(nzs_slope=5.0)
-        interval = rl.nzs_interval(paper_model.model(6, T1080), wide)
-        assert interval.hi == 6.0 and interval.clamped_hi
-        assert not interval.clamped_lo
+        lo, hi = rl.nzs_interval(paper_model.model(6, T1080), wide)
+        assert hi == rl.OPERATING_RANGE[1] == 6.0
+        assert lo > rl.OPERATING_RANGE[0]
 
 
 @pytest.mark.parametrize("field", ["vl_psnr", "nzs_slope"])
@@ -221,7 +252,7 @@ class TestBitrateRules:
 
     def test_nzs_reduction(self, paper_model, cfg, tables):
         nzs_only = rl.Modes(nzs=True)
-        upper = rl.nzs_interval(paper_model.model(6, T1080), cfg).hi
+        _, upper = rl.nzs_interval(paper_model.model(6, T1080), cfg)
         _, reduced, applied, _, _ = tables.decide(6, T1080, upper, nzs_only)
         assert reduced == pytest.approx(3.293, abs=0.02) and applied == ("nzs",)
         assert tables.decide(4, T1080, 4.0, nzs_only)[1:3] == (4.0, ())  # no interval
@@ -244,7 +275,7 @@ class TestBitrateRules:
 
     def test_rejects_a_proposal_of_zero_or_below(self, paper_model, cfg):
         broken = rl.DecisionTables(paper_model, cfg)
-        object.__setattr__(broken, "vl", {(6, T1080): rl.VlThreshold(bitrate=-0.5)})
+        object.__setattr__(broken, "vl", {(6, T1080): -0.5})
         with pytest.raises(ValidationError, match="proposed bitrate must be > 0"):
             broken.decide(6, T1080, 3.0, rl.Modes(vl=True))
 
@@ -465,48 +496,46 @@ class TestAdvise:
 
 class TestSavings:
     def test_reference_vl_scenarios(self, tables):
-        groups = {}
         scenarios = {
             "Test_2": ((6, 6, 6, 6, 6, 4, 1, 1, 1, 1), 3.0),
             "Test_10": ((4, 4, 4, 5, 4, 4, 4, 4, 5, 5), 3.0),
         }
-        for video, (clusters, target) in scenarios.items():
-            groups[video] = [
-                (target, tables.decide(c, T1080, target, rl.Modes(vl=True))[1])
-                for c in clusters
-            ]
-        report = rl.savings_report(groups)
-        by_video = {v.video_id: v for v in report.videos}
-        assert by_video["Test_2"].total_proposed == pytest.approx(16.09, abs=0.05)
-        assert by_video["Test_2"].saving_percent == pytest.approx(46.36, abs=0.1)
-        assert by_video["Test_10"].total_proposed == pytest.approx(16.88, abs=0.05)
-        assert by_video["Test_10"].saving_percent == pytest.approx(43.73, abs=0.1)
+        by_video = {
+            video: rl.savings_report([
+                (target, tables.decide(c, T1080, target, rl.Modes(vl=True))[1]) for c in clusters
+            ])
+            for video, (clusters, target) in scenarios.items()
+        }
+        assert by_video["Test_2"]["total_proposed"] == pytest.approx(16.09, abs=0.05)
+        assert by_video["Test_2"]["saving_percent"] == pytest.approx(46.36, abs=0.1)
+        assert by_video["Test_10"]["total_proposed"] == pytest.approx(16.88, abs=0.05)
+        assert by_video["Test_10"]["saving_percent"] == pytest.approx(43.73, abs=0.1)
 
     def test_reference_nzs_scenario(self, tables):
         proposed = tables.decide(6, T1080, 4.575, rl.Modes(nzs=True))[1]
         rows = [(4.575, proposed)] * 10
-        report = rl.savings_report({"Test_5": rows})
-        assert report.total_proposed == pytest.approx(32.93, abs=0.05)
-        assert report.saving_percent == pytest.approx(28.022, abs=0.1)
+        report = rl.savings_report(rows)
+        assert report["total_proposed"] == pytest.approx(32.93, abs=0.05)
+        assert report["saving_percent"] == pytest.approx(28.022, abs=0.1)
 
     def test_totals_are_column_sums(self):
         groups = {"a": [(3.0, 1.5), (2.0, 2.0)], "b": [(4.0, 1.0)]}
-        report = rl.savings_report(groups)
-        assert report.total_target == pytest.approx(9.0, abs=1e-9)
-        assert report.total_proposed == pytest.approx(4.5, abs=1e-9)
-        assert 0 <= report.saving_percent < 100
-        for video in report.videos:
-            rows = groups[video.video_id]
-            assert video.total_target == pytest.approx(sum(t for t, _ in rows), abs=1e-9)
-            assert video.total_proposed == pytest.approx(sum(p for _, p in rows), abs=1e-9)
+        report = rl.savings_report(groups["a"] + groups["b"])
+        assert report["total_target"] == pytest.approx(9.0, abs=1e-9)
+        assert report["total_proposed"] == pytest.approx(4.5, abs=1e-9)
+        assert 0 <= report["saving_percent"] < 100
+        for rows in groups.values():
+            video = rl.savings_report(rows)
+            assert video["total_target"] == pytest.approx(sum(t for t, _ in rows), abs=1e-9)
+            assert video["total_proposed"] == pytest.approx(sum(p for _, p in rows), abs=1e-9)
 
     def test_errors(self):
         with pytest.raises(ValidationError):
-            rl.savings_report({})
+            rl.savings_report([])
         with pytest.raises(ValidationError):
-            rl.savings_report({"v": []})
+            rl.savings_report([(1.0, 0.0)])
         with pytest.raises(ValidationError):
-            rl.savings_report({"v": [(1.0, 2.0)]})
+            rl.savings_report([(1.0, 2.0)])
 
 
 def permuted_model_set(model_set, permutation):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.service import handle_recommend_request, make_server
+from rdladder.service import MAX_BODY_BYTES, handle_recommend_request, make_server
 
 from helpers import reference_handle
 
@@ -161,6 +161,20 @@ def post(server, path, data: bytes, headers=None):
         return exc.code, exc.read()
 
 
+def raw_post(server, content_length: bytes, body: bytes) -> tuple[bytes, bytes]:
+    """POST ``body`` to the recommend path under the given Content-Length
+    header; returns the answer's status code and body."""
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                     + content_length + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(65536):  # the server closes after answering
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].split(b" ")[1], body
+
+
 class TestLiveServer:
     def test_recommend_round_trip(self, server, paper_model):
         payload = json.dumps(request_payload(paper_model)).encode()
@@ -180,15 +194,26 @@ class TestLiveServer:
         assert "JSON" in json.loads(raw)["error"]
 
     def test_negative_content_length_is_answered_without_reading(self, server):
-        port = server.server_address[1]
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n{}")
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after answering
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split(b" ")[1] == b"400"
+        status, body = raw_post(server, b"-1", b"{}")
+        assert status == b"400"
         assert json.loads(body) == {"error": "Content-Length must be a non-negative integer"}
+
+    @pytest.mark.parametrize("length", [
+        MAX_BODY_BYTES + 1,
+        1000000000000000,  # read() would need more memory than there is
+        99999999999999999999,  # too large for read()'s size argument
+    ])
+    def test_oversized_content_length_is_413_without_reading(self, server, length):
+        status, body = raw_post(server, str(length).encode(), b"")
+        assert status == b"413"
+        assert json.loads(body) == {"error": "request body too large"}
+
+    def test_body_of_exactly_the_cap_is_read(self, server, paper_model):
+        payload = json.dumps(request_payload(paper_model)).encode()
+        payload += b" " * (MAX_BODY_BYTES - len(payload))
+        status, body = raw_post(server, str(len(payload)).encode(), payload)
+        assert status == b"200"
+        assert json.loads(body)["recommendations"][0]["cluster"] == 6
 
     def test_get_is_structured_405(self, server):
         port = server.server_address[1]

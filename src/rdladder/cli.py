@@ -221,7 +221,10 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # Imported here so that the other commands do not load http.server.
+    # Imported here so that the other commands do not load signal or
+    # http.server.
+    import signal
+
     from .service import make_server
 
     model_set = _load_model_source(args)
@@ -237,12 +240,18 @@ def cmd_serve(args) -> int:
         server = make_server(model_set, host, port, cfg, quiet=False)
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         raise ValidationError(f"cannot bind {args.bind}: {exc}") from None
-    print(f"advisory endpoint on http://{host}:{server.server_address[1]}/v1/recommend", flush=True)
+    # Ctrl-C and SIGTERM stop the server: it stops accepting, finishes
+    # the requests in flight and returns. Set before the address is
+    # printed, which is when clients may come.
+    previous = {sig: signal.signal(sig, lambda signum, frame: server.stop())
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
+        print(f"advisory endpoint on http://{host}:{server.server_address[1]}/v1/recommend",
+              flush=True)
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
     finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         server.server_close()
     return EXIT_OK
 

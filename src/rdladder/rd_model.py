@@ -96,6 +96,14 @@ def _as_points(points: PointSeq) -> tuple[np.ndarray, np.ndarray]:
     return rs, qs
 
 
+def _distinct_count(values: np.ndarray) -> int:
+    """How many distinct values a non-empty array holds. ``np.unique``
+    gives the same, but on numpy 2.x its first call imports numpy.ma,
+    which costs every ``train`` process 13-18 ms."""
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
 def fit_polynomial(points: PointSeq, degree: int) -> CubicRD:
     """Least-squares polynomial fit of the given degree (1, 2 or 3),
     returned as a CubicRD with the unused high-order coefficients zero.
@@ -107,7 +115,7 @@ def fit_polynomial(points: PointSeq, degree: int) -> CubicRD:
     if degree not in (1, 2, 3):
         raise ValidationError(f"degree must be 1, 2 or 3, got {degree}")
     rs, qs = _as_points(points)
-    n_distinct = np.unique(rs).size
+    n_distinct = _distinct_count(rs)
     if n_distinct < degree + 1:
         raise InsufficientDataError(
             f"degree {degree} needs at least {degree + 1} distinct bitrates, got {n_distinct}"
@@ -191,7 +199,7 @@ def compare_fits(points: PointSeq) -> FitReport:
     order linear, poly2, poly3, log.
     """
     rs, qs = _as_points(points)
-    if np.unique(rs).size < 4:
+    if _distinct_count(rs) < 4:
         raise InsufficientDataError("fit comparison needs at least 4 distinct bitrates")
 
     mse: dict[str, float] = {}

@@ -3,7 +3,7 @@
 answers with per-GOP recommendations and a savings summary.
 
 Requests are independent and served over decision tables built once at
-start-up and never mutated, so the threading server needs no locking.
+start-up and never mutated, so the worker threads need no locking.
 Malformed requests get structured error documents, never dropped
 connections.
 
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 
@@ -36,6 +38,13 @@ RECOMMEND_PATH = "/v1/recommend"
 # Longest request body read (bytes); a longer declared Content-Length is
 # answered 413 before any of the body is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+# Threads that accept and serve connections, one connection at a time
+# each; more connections wait in the listen backlog.
+WORKERS = 8
+# Seconds one read or write on a connection may wait before the
+# connection is closed: a client that stops sending holds a worker that
+# long at most.
+CONNECTION_TIMEOUT_S = 10.0
 
 
 def _number(value) -> float | None:
@@ -132,11 +141,77 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     return 200, tables.advise(_observation_batch(gops), target, modes)
 
 
-class _AdvisoryServer(ThreadingHTTPServer):
+class _AdvisoryServer(HTTPServer):
+    """``serve_forever`` runs ``WORKERS`` threads, each of which accepts a
+    connection on the listening socket and serves it to the end: no
+    thread is started per connection and none hands sockets to another."""
+
     # socketserver's default listen backlog of 5 overflows when a burst of
     # clients connects at once; the excess connections were then reset
     # instead of queued.
     request_queue_size = 128
+
+    def __init__(self, server_address, handler_class):
+        super().__init__(server_address, handler_class)
+        # Held until a stop is asked for; serve_forever waits to acquire it.
+        # A lock and not an Event: a signal handler may release it at any
+        # point of the thread it interrupts without deadlocking.
+        self._running = threading.Lock()
+        self._running.acquire()
+        self._stopping = threading.Event()
+        self._stopped = threading.Event()
+
+    def serve_forever(self):
+        """Serve until ``stop`` or ``shutdown`` is called; every in-flight
+        request is finished and every worker has ended when this returns."""
+        workers = []
+        try:
+            for _ in range(WORKERS):
+                worker = threading.Thread(target=self._serve_connections, daemon=True)
+                worker.start()
+                workers.append(worker)
+            self._running.acquire()
+        finally:
+            self._stopping.set()
+            # Once _stopping is set a worker accepts one more connection at
+            # most, so one loopback connection per worker wakes each one
+            # blocked in accept(); it serves it as an empty request and ends.
+            for _ in workers:
+                try:
+                    socket.create_connection(self.server_address, timeout=1).close()
+                except OSError:
+                    pass
+            for worker in workers:
+                worker.join()
+            self._stopped.set()
+
+    def stop(self):
+        """Ask ``serve_forever`` to return, without waiting for it; safe
+        to call from a signal handler."""
+        try:
+            self._running.release()
+        except RuntimeError:  # asked before
+            pass
+
+    def shutdown(self):
+        """Stop ``serve_forever`` from another thread; returns once it has."""
+        self.stop()
+        self._stopped.wait()
+
+    def _serve_connections(self):
+        # A plain blocking accept(), with no timeout and no select(): Linux
+        # then wakes one waiting worker per connection, not all of them.
+        while not self._stopping.is_set():
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # the client gave up before it was accepted
+                continue
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
 
 
 def make_server(
@@ -145,14 +220,18 @@ def make_server(
     port: int = 8080,
     cfg: DecisionConfig | None = None,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
+) -> _AdvisoryServer:
     """Build (but do not start) the advisory HTTP server; callers run
-    ``serve_forever`` themselves, which keeps tests and the CLI honest
-    about ownership of the listening socket. The decision tables are
-    built here, once, and every request reuses them."""
+    ``serve_forever``, then ``shutdown`` from another thread, then
+    ``server_close``, which keeps tests and the CLI honest about
+    ownership of the listening socket. The decision tables are built
+    here, once, and every request reuses them."""
     tables = DecisionTables(model_set, cfg or DecisionConfig())
 
     class AdvisoryHandler(BaseHTTPRequestHandler):
+        # http.server closes a connection whose read or write times out.
+        timeout = CONNECTION_TIMEOUT_S
+
         def _send(self, status: int, body: dict):
             data = json.dumps(body).encode("utf-8")
             self.send_response(status)
@@ -165,8 +244,12 @@ def make_server(
             if self.path != RECOMMEND_PATH:
                 self._send(404, {"error": f"unknown path {self.path!r}; POST {RECOMMEND_PATH}"})
                 return
+            length_field = self.headers.get("Content-Length")
+            if length_field is None:
+                self._send(411, {"error": "Content-Length required"})
+                return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
+                length = int(length_field)
             except ValueError:
                 length = -1
             if length < 0:

@@ -8,7 +8,9 @@ with the code under test.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,16 @@ from rdladder.errors import (
     ValidationError,
 )
 from rdladder.ingest import MEASUREMENT_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def package_env() -> dict:
+    """The environment of a child ``python``: the package on its path and,
+    as in a plain shell, output buffered when it is not a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def bisection_roots(coeffs_desc, lo: float, hi: float, step: float = 1e-4,

@@ -1,9 +1,7 @@
 import json
-import os
 import select
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ import rdladder as rl
 from rdladder import cli, verify
 from rdladder.verify import DISCREPANCY, FAIL, VerifyRow
 
-from helpers import measurement_csv
+from helpers import measurement_csv, package_env
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -322,17 +320,6 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def package_env() -> dict:
-    """The environment of a child ``python``: the package on its path and,
-    as in a plain shell, output buffered when it is not a terminal."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
-
-
 def test_python_dash_m_help_exits_0():
     done = subprocess.run([sys.executable, "-m", "rdladder", "--help"], env=package_env(),
                           capture_output=True, text=True, timeout=60)
@@ -342,13 +329,26 @@ def test_python_dash_m_help_exits_0():
 
 def test_cli_import_leaves_out_the_server_and_the_paper_check():
     # Every command pays for what importing the CLI loads; only `serve` needs
-    # http.server and only `verify-paper` needs the reference tables.
+    # signal and http.server, and only `verify-paper` needs the reference tables.
     code = ("import sys, rdladder.cli; "
-            "print(sorted({'http.server', 'rdladder.service', 'rdladder.verify'} & set(sys.modules)))")
+            "print(sorted({'signal', 'http.server', 'rdladder.service', 'rdladder.verify'}"
+            " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_train_leaves_out_numpy_ma(tmp_path, training_file):
+    # numpy 2.x imports numpy.ma on the first np.unique call, which cost
+    # every `train` process 13-18 ms.
+    code = ("import sys, rdladder.cli; "
+            "rc = rdladder.cli.main(['train', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(training_file), str(tmp_path / "m.json")],
+                          env=package_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_serve_prints_address_through_a_pipe():

@@ -1,6 +1,12 @@
 import json
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -11,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.service import MAX_BODY_BYTES, handle_recommend_request, make_server
+from rdladder import service
+from rdladder.service import MAX_BODY_BYTES, WORKERS, handle_recommend_request, make_server
 
-from helpers import reference_handle
+from helpers import package_env, reference_handle
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -161,13 +168,13 @@ def post(server, path, data: bytes, headers=None):
         return exc.code, exc.read()
 
 
-def raw_post(server, content_length: bytes, body: bytes) -> tuple[bytes, bytes]:
+def raw_post(server, content_length: bytes | None, body: bytes) -> tuple[bytes, bytes]:
     """POST ``body`` to the recommend path under the given Content-Length
-    header; returns the answer's status code and body."""
+    header, or under none; returns the answer's status code and body."""
     port = server.server_address[1]
+    length = b"" if content_length is None else b"Content-Length: " + content_length + b"\r\n"
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: "
-                     + content_length + b"\r\n\r\n" + body)
+        sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\n" + length + b"\r\n" + body)
         reply = b""
         while chunk := sock.recv(65536):  # the server closes after answering
             reply += chunk
@@ -197,6 +204,11 @@ class TestLiveServer:
         status, body = raw_post(server, b"-1", b"{}")
         assert status == b"400"
         assert json.loads(body) == {"error": "Content-Length must be a non-negative integer"}
+
+    def test_missing_content_length_is_411(self, server):
+        status, body = raw_post(server, None, b"")
+        assert status == b"411"
+        assert json.loads(body) == {"error": "Content-Length required"}
 
     @pytest.mark.parametrize("length", [
         MAX_BODY_BYTES + 1,
@@ -254,6 +266,138 @@ class TestLiveServer:
         bodies = {raw for _, raw in results}
         assert statuses == {200}
         assert len(bodies) == 1
+
+
+TIMEOUT_S = 0.5  # connection timeout of the pooled fixture's server
+
+
+def thread_count_reaching(count: int) -> int:
+    """The thread count once it equals ``count``, or after 5 s."""
+    deadline = time.monotonic() + 5
+    while threading.active_count() != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+@pytest.fixture()
+def pooled(paper_model, monkeypatch):
+    """A running server whose connections time out after TIMEOUT_S, with
+    the thread that serves it and the thread count before it started."""
+    monkeypatch.setattr(service, "CONNECTION_TIMEOUT_S", TIMEOUT_S)
+    before = threading.active_count()
+    srv = make_server(paper_model, "127.0.0.1", 0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    assert thread_count_reaching(before + 1 + WORKERS) == before + 1 + WORKERS
+    yield srv, thread, before
+    stopper = threading.Thread(target=srv.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    thread.join(timeout=5)
+    srv.server_close()
+
+
+class TestWorkerPool:
+    def test_thread_count_is_fixed_while_connections_are_held(self, pooled):
+        srv, _, before = pooled
+        port = srv.server_address[1]
+        held = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                for _ in range(WORKERS + 4)]
+        try:
+            time.sleep(TIMEOUT_S / 2)
+            assert threading.active_count() == before + 1 + WORKERS
+        finally:
+            for conn in held:
+                conn.close()
+
+    def test_stalled_client_is_cut_off_while_others_are_answered(self, pooled, paper_model):
+        srv, _, _ = pooled
+        payload = json.dumps(request_payload(paper_model)).encode()
+        with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as stalled:
+            stalled.sendall(b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\n")  # headers never end
+            start = time.monotonic()
+            status, _ = post(srv, "/v1/recommend", payload)
+            answered = time.monotonic() - start
+            assert stalled.recv(1024) == b""
+            cut_off = time.monotonic() - start
+        assert status == 200 and answered < TIMEOUT_S
+        assert cut_off < TIMEOUT_S + 1.0
+
+    def test_shutdown_of_an_idle_server_is_prompt_and_ends_every_worker(self, pooled):
+        srv, thread, before = pooled
+        stopper = threading.Thread(target=srv.shutdown, daemon=True)
+        start = time.monotonic()
+        stopper.start()
+        thread.join(timeout=1)
+        stopper.join(timeout=1)
+        assert not thread.is_alive() and not stopper.is_alive()
+        assert time.monotonic() - start < 1.0
+        srv.server_close()
+        assert threading.active_count() == before
+
+    def test_stop_asked_before_serving_ends_serve_forever_at_once(self, paper_model):
+        # A signal handler may call stop() while serve_forever is starting.
+        before = threading.active_count()
+        srv = make_server(paper_model, "127.0.0.1", 0)
+        srv.stop()
+        srv.stop()  # a second signal changes nothing
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        thread.join(timeout=2)
+        srv.server_close()
+        assert not thread.is_alive()
+        assert threading.active_count() == before
+
+
+def stop_with_sigterm(proc) -> tuple[int, float, str]:
+    """SIGTERM a running ``serve``; returns its exit code, the seconds it
+    took to exit and its standard error."""
+    start = time.monotonic()
+    proc.send_signal(signal.SIGTERM)
+    code = proc.wait(timeout=2)
+    return code, time.monotonic() - start, proc.stderr.read().decode()
+
+
+@pytest.fixture()
+def serve_command():
+    """A ``serve --paper-model`` process and the port it printed."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rdladder", "serve", "--paper-model", "--bind", "127.0.0.1:0"],
+        env=package_env(), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        line = proc.stdout.readline().decode() if ready else ""
+        port = re.fullmatch(r"advisory endpoint on http://127\.0\.0\.1:(\d+)/v1/recommend\n",
+                            line).group(1)
+        yield proc, port
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_serve_command_answers_then_exits_0_on_sigterm(serve_command, paper_model):
+    proc, port = serve_command
+    request = urllib.request.Request(f"http://127.0.0.1:{port}/v1/recommend",
+                                     data=json.dumps(request_payload(paper_model)).encode())
+    with urllib.request.urlopen(request, timeout=10) as resp:
+        assert resp.status == 200
+    code, seconds, log = stop_with_sigterm(proc)
+    assert code == 0 and seconds < 2.0
+    assert re.fullmatch(r'127\.0\.0\.1 - - \[[^]]+\] "POST /v1/recommend HTTP/1\.1" 200 -\n', log)
+
+
+def test_serve_command_exits_0_on_sigterm_while_starting(serve_command):
+    # The address is printed before the workers start, so the signal lands
+    # while they are being started.
+    proc, _ = serve_command
+    code, seconds, log = stop_with_sigterm(proc)
+    assert code == 0 and seconds < 2.0
+    assert log == ""
 
 
 # Numbers a request may carry: integers, values the batch must reject

@@ -21,11 +21,15 @@ slot; the savings summary covers the answered GOPs (null if none).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -41,10 +45,13 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 # Threads that accept and serve connections, one connection at a time
 # each; more connections wait in the listen backlog.
 WORKERS = 8
-# Seconds one read or write on a connection may wait before the
-# connection is closed: a client that stops sending holds a worker that
-# long at most.
+# Seconds a client has to send its whole request, headers and body, and
+# that each write of the answer may wait; the connection is closed after
+# that, so a client that stops or trickles holds a worker that long at most.
 CONNECTION_TIMEOUT_S = 10.0
+# The keys of an answered entry of the advice document, in order.
+_ANSWER_KEYS = ("gop_id", "cluster", "tier", "target_bitrate", "proposed_bitrate",
+                "predicted_psnr", "modes_applied", "rationale")
 
 
 def _number(value) -> float | None:
@@ -86,11 +93,51 @@ def _gop_fields(entry, index: int) -> tuple[ResolutionTier, list[tuple[float, fl
     return tier, pairs
 
 
+def _bulk_batch(gops: list) -> ObservationBatch | None:
+    """The batch of a request whose every GOP is well formed, checked and
+    converted field by field over all GOPs at once; None when any GOP is
+    malformed or holds an integer too large for a float. The checks are
+    ``_gop_fields``'s, by exact type, so bools are not numbers here."""
+    if set(map(type, gops)) != {dict}:
+        return None
+    gop_ids = [entry.get("gop_id") for entry in gops]
+    tier_names = [entry.get("tier") for entry in gops]
+    points = [entry.get("points") for entry in gops]
+    if (set(map(type, gop_ids)) != {str} or not all(gop_ids)
+            or set(map(type, tier_names)) != {str}
+            or set(map(type, points)) != {list} or not all(points)):
+        return None
+    pairs = list(chain.from_iterable(points))
+    if not set(map(type, pairs)) <= {list, tuple} or set(map(len, pairs)) != {2}:
+        return None
+    coordinates = list(chain.from_iterable(pairs))
+    if not set(map(type, coordinates)) <= {int, float}:
+        return None
+    try:
+        by_name = {name: tier_from_name(name) for name in set(tier_names)}
+        columns = np.array(coordinates, dtype=float)
+    except (ValidationError, OverflowError):
+        return None
+    return ObservationBatch(
+        gop_ids=gop_ids,
+        tiers=[by_name[name] for name in tier_names],
+        offsets=np.fromiter(accumulate(map(len, points), initial=0), int, len(gops) + 1),
+        bitrates=columns[0::2],
+        psnr=columns[1::2],
+        errors=[None] * len(gops),
+    )
+
+
 def _observation_batch(gops: list) -> ObservationBatch:
     """The request's GOPs as one batch, in request order. A malformed
     entry gets its message in ``errors``, no points and no tier, and
     keeps its ``gop_id`` when that is a string ("" otherwise: a number
-    could be NaN or infinite, which the answer's JSON cannot carry)."""
+    could be NaN or infinite, which the answer's JSON cannot carry).
+    A batch with no malformed entry is converted in one bulk pass; the
+    others are walked entry by entry."""
+    batch = _bulk_batch(gops)
+    if batch is not None:
+        return batch
     gop_ids, tiers, errors, offsets, points = [], [], [], [0], []
     for index, entry in enumerate(gops):
         gop_id = entry.get("gop_id") if isinstance(entry, dict) else None
@@ -127,10 +174,10 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     modes_field = payload.get("modes", [])
     if not isinstance(modes_field, list) or not all(isinstance(m, str) for m in modes_field):
         return 400, {"error": "modes must be a list of strings"}
-    try:
-        modes = Modes.parse(",".join(modes_field))
-    except ValidationError as exc:
-        return 400, {"error": str(exc)}
+    unknown = [name for name in modes_field if name not in Modes._NAMES]
+    if unknown:
+        return 400, {"error": f"unknown mode(s): {', '.join(map(repr, unknown))}"}
+    modes = Modes(**dict.fromkeys(modes_field, True))
     if not modes.any_enabled:
         return 400, {"error": "at least one mode must be enabled"}
     gops = payload.get("gops")
@@ -139,6 +186,72 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     if not (math.isfinite(target) and target > 0):
         return 400, {"error": "target_bitrate must be finite and > 0"}
     return 200, tables.advise(_observation_batch(gops), target, modes)
+
+
+def _shared_middle(entry: dict) -> str | None:
+    """The JSON text between an answered entry's ``gop_id`` and
+    ``rationale`` values; None when an entry whose values equal these
+    could be encoded differently, which a zero (0.0 == -0.0) or a tier
+    or mode that is not a string allows."""
+    _, _, tier, target, proposed, predicted, modes, _ = entry.values()
+    if type(tier) is not str or not (target and proposed and predicted) or set(map(type, modes)) - {str}:
+        return None
+    inner = json.dumps({key: entry[key] for key in _ANSWER_KEYS[1:-1]})
+    return f', {inner[1:-1]}, "rationale": '
+
+
+def encode_body(body: dict) -> bytes:
+    """``json.dumps(body).encode()``, the bytes of an answer. The
+    answered entries of an advice document that share a decision differ
+    only in ``gop_id`` and ``rationale``, so the rest of such an entry is
+    encoded once and the two strings are spliced in around it. A body
+    of one entry has no decision to share and is encoded whole."""
+    entries = body.get("recommendations")
+    if type(entries) is not list or len(entries) < 2 or tuple(body) != ("recommendations", "savings"):
+        return json.dumps(body).encode()
+    middles: dict[tuple, str | None] = {}
+    parts = []
+    try:
+        for entry in entries:
+            if type(entry) is dict and tuple(entry) == _ANSWER_KEYS:
+                gop_id, cluster, tier, target, proposed, predicted, modes, rationale = entry.values()
+                # 1 == 1.0 == True, so equal numbers may be spelt differently.
+                if (type(cluster) is int and type(modes) is list
+                        and type(target) is type(proposed) is type(predicted) is float):
+                    key = (cluster, tier, target, proposed, predicted, *modes)
+                    try:
+                        middle = middles[key]
+                    except KeyError:
+                        middle = middles[key] = _shared_middle(entry)
+                    if middle is not None:
+                        parts.append(f'{{"gop_id": {encode_basestring_ascii(gop_id)}{middle}'
+                                     f'{encode_basestring_ascii(rationale)}}}')
+                        continue
+            parts.append(json.dumps(entry))
+    except TypeError:  # an unhashable value, or a gop_id or rationale that is no string
+        return json.dumps(body).encode()
+    savings = json.dumps(body["savings"])
+    return f'{{"recommendations": [{", ".join(parts)}], "savings": {savings}}}'.encode()
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A connection's incoming bytes, read against one deadline: each read
+    waits only for the time left until it, and raises TimeoutError, as a
+    socket read that times out does, once it has passed."""
+
+    def __init__(self, sock: socket.socket, seconds: float):
+        self._sock = sock
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request deadline passed")
+        self._sock.settimeout(left)
+        return self._sock.recv_into(buffer)
 
 
 class _AdvisoryServer(HTTPServer):
@@ -232,8 +345,16 @@ def make_server(
         # http.server closes a connection whose read or write times out.
         timeout = CONNECTION_TIMEOUT_S
 
+        def setup(self):
+            super().setup()
+            # The whole request, headers and body, is read against one
+            # deadline, so a client that trickles bytes is cut off too.
+            self.rfile.close()
+            self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
+
         def _send(self, status: int, body: dict):
-            data = json.dumps(body).encode("utf-8")
+            data = encode_body(body)
+            self.connection.settimeout(self.timeout)
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))

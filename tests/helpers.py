@@ -361,18 +361,29 @@ def _reference_parse_gop(entry, index: int):
     for p in points:
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair")
-        parsed.append((float(p[0]), float(p[1])))
+        if not all(type(v) in (int, float) for v in p):
+            raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair of numbers")
+        parsed.append((_reference_float(p[0]), _reference_float(p[1])))
     return gop_id, tier, tuple(parsed)
+
+
+def _reference_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range, as json reads 1e400
+        return math.inf if value > 0 else -math.inf
 
 
 def reference_handle(payload, tables) -> tuple[int, dict]:
     """Reference request handling in two phases: parse each GOP on its
     own, advise the parsed ones as one batch, then merge the answers back
     between the GOPs that failed to parse, each of which echoes its
-    ``gop_id`` only when that is a string. It converts with ``float()``,
-    so it also takes bools and numeric strings, and it answers a NaN or
-    non-positive target with "must be > 0"; an infinite target reaches
-    ``advise``, which raises."""
+    ``gop_id`` only when that is a string. Point coordinates must be
+    ints or floats (not bools); an integer too large for a float reads as
+    infinite. Each mode must be exactly one of the three names. The
+    target is converted with ``float()``, so it may be a bool or a
+    numeric string, and a NaN or non-positive target is answered "must be
+    > 0"; an infinite target reaches ``advise``, which raises."""
     if not isinstance(payload, dict):
         return 400, {"error": "request body must be a JSON object"}
     try:
@@ -382,10 +393,10 @@ def reference_handle(payload, tables) -> tuple[int, dict]:
     modes_field = payload.get("modes", [])
     if not isinstance(modes_field, list) or not all(isinstance(m, str) for m in modes_field):
         return 400, {"error": "modes must be a list of strings"}
-    try:
-        modes = rl.Modes.parse(",".join(modes_field))
-    except ValidationError as exc:
-        return 400, {"error": str(exc)}
+    unknown = [m for m in modes_field if m not in ("trans_size", "vl", "nzs")]
+    if unknown:
+        return 400, {"error": "unknown mode(s): " + ", ".join(repr(m) for m in unknown)}
+    modes = rl.Modes(**{m: True for m in modes_field})
     if not modes.any_enabled:
         return 400, {"error": "at least one mode must be enabled"}
     gops = payload.get("gops")

@@ -13,12 +13,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
 from rdladder import service
-from rdladder.service import MAX_BODY_BYTES, WORKERS, handle_recommend_request, make_server
+from rdladder.service import (
+    MAX_BODY_BYTES,
+    WORKERS,
+    encode_body,
+    handle_recommend_request,
+    make_server,
+)
 
 from helpers import package_env, reference_handle
 
@@ -63,6 +70,23 @@ class TestHandleRequest:
         payload = request_payload(paper_model, modes=())
         status, body = handle_recommend_request(payload, tables)
         assert status == 400
+
+    @pytest.mark.parametrize("modes, unknown", [
+        (["vl,nzs"], "'vl,nzs'"),
+        ([" vl "], "' vl '"),
+        (["", "vl"], "''"),
+        (["VL", "nzs", "trans-size"], "'VL', 'trans-size'"),
+    ])
+    def test_each_mode_must_be_an_exact_name(self, paper_model, tables, modes, unknown):
+        payload = request_payload(paper_model, modes=modes)
+        assert handle_recommend_request(payload, tables) == (
+            400, {"error": f"unknown mode(s): {unknown}"}
+        )
+
+    def test_repeated_mode_names_are_accepted(self, paper_model, tables):
+        once = handle_recommend_request(request_payload(paper_model, modes=("vl",)), tables)
+        twice = handle_recommend_request(request_payload(paper_model, modes=("vl", "vl")), tables)
+        assert once == twice and once[0] == 200
 
     def test_bad_target_rejected(self, paper_model, tables):
         payload = request_payload(paper_model, target=-1.0)
@@ -323,6 +347,42 @@ class TestWorkerPool:
         assert status == 200 and answered < TIMEOUT_S
         assert cut_off < TIMEOUT_S + 1.0
 
+    def test_trickling_client_is_cut_off_at_the_request_deadline(self, pooled, paper_model):
+        # One byte every 0.3 s never lets a single read wait TIMEOUT_S, but
+        # the whole request has to arrive within TIMEOUT_S.
+        srv, _, _ = pooled
+        payload = json.dumps(request_payload(paper_model)).encode()
+        request = (b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+                   % len(payload)) + payload
+        stop = threading.Event()
+        with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as trickler:
+            def trickle():
+                for byte in request:
+                    try:
+                        trickler.send(bytes([byte]))
+                    except OSError:
+                        return
+                    if stop.wait(0.3):
+                        return
+
+            sender = threading.Thread(target=trickle, daemon=True)
+            start = time.monotonic()
+            sender.start()
+            try:
+                status, _ = post(srv, "/v1/recommend", payload)
+                answered = time.monotonic() - start
+                try:
+                    reply = trickler.recv(1024)
+                except ConnectionResetError:
+                    reply = b""
+                cut_off = time.monotonic() - start
+            finally:
+                stop.set()
+                sender.join(timeout=5)
+        assert not sender.is_alive()
+        assert status == 200 and answered < TIMEOUT_S
+        assert reply == b"" and cut_off < TIMEOUT_S + 0.5
+
     def test_shutdown_of_an_idle_server_is_prompt_and_ends_every_worker(self, pooled):
         srv, thread, before = pooled
         stopper = threading.Thread(target=srv.shutdown, daemon=True)
@@ -457,3 +517,165 @@ class TestHandleRequestMatchesReference:
     def test_status_and_body(self, tables, target, modes, gops):
         payload = {"target_bitrate": target, "modes": modes, "gops": gops}
         assert handle_recommend_request(payload, tables) == reference_handle(payload, tables)
+
+
+class TestEncodeBodyMatchesJsonDumps:
+    """The spliced encoder against ``json.dumps`` on the reference test's
+    payloads, which mix well-formed and malformed GOPs."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        target=st.one_of(st.floats(0.1, 8.0), st.integers(1, 8)),
+        modes=st.sampled_from(MODE_LISTS + [[], ["warp"]]),
+        gops=st.lists(GOP_ENTRIES, min_size=1, max_size=8),
+    )
+    def test_bytes(self, tables, target, modes, gops):
+        payload = {"target_bitrate": target, "modes": modes, "gops": gops}
+        _, body = handle_recommend_request(payload, tables)
+        assert encode_body(body) == json.dumps(body).encode()
+
+
+# GOP ids that repeat, need escaping or are not ASCII.
+GOP_IDS = st.one_of(
+    st.sampled_from(["g", "g", "é", "gop \"7\"", "back\\slash", "\u2028", "\U0001f600", "\x00\n"]),
+    st.text(min_size=1, max_size=4),
+)
+# Coordinates a well-formed batch may carry, on the curves' range and off it.
+COORDINATES = st.one_of(
+    st.floats(0.1, 8.0),
+    st.floats(20.0, 60.0),
+    st.integers(1, 60),
+    st.just(2**53 + 1),  # rounds to 2**53 as a float
+)
+PAIRS = st.tuples(COORDINATES, COORDINATES)
+WELL_FORMED_GOPS = st.lists(
+    st.fixed_dictionaries({
+        "gop_id": GOP_IDS,
+        "tier": st.sampled_from(["1080p", "720p", "540p", "360p"]),
+        "points": st.lists(st.one_of(PAIRS.map(list), PAIRS), min_size=1, max_size=5),
+    }),
+    min_size=1,
+    max_size=64,
+)
+# Values that make a well-formed batch fall back to the per-entry walk.
+NOT_BULK = st.sampled_from([True, False, 10**400, -10**400])
+
+
+class TestWellFormedBatches:
+    """Batches in which every GOP is well formed, which the handler checks
+    and converts in one bulk pass, against the reference; a bool or an
+    integer too large for a float in one coordinate sends the batch down
+    the per-entry walk instead."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        target=st.one_of(st.floats(0.1, 8.0), st.integers(1, 8)),
+        modes=st.sampled_from(MODE_LISTS),
+        gops=WELL_FORMED_GOPS,
+        spoil=st.one_of(st.none(), st.tuples(st.integers(0), st.integers(0), st.integers(0, 1),
+                                             NOT_BULK)),
+    )
+    def test_status_body_and_bytes(self, tables, target, modes, gops, spoil):
+        if spoil is not None:
+            g, p, position, value = spoil
+            points = gops[g % len(gops)]["points"]
+            point = list(points[p % len(points)])
+            point[position] = value
+            points[p % len(points)] = point
+        assert (service._bulk_batch(gops) is None) == (spoil is not None)
+        payload = {"target_bitrate": target, "modes": modes, "gops": gops}
+        status, body = handle_recommend_request(payload, tables)
+        assert (status, body) == reference_handle(payload, tables)
+        assert encode_body(body) == json.dumps(body).encode()
+
+
+def benchmark_shaped_payload(model_set, seed: int, n_gops: int) -> dict:
+    """``n_gops`` GOPs of a random cluster and tier, with 4 points each,
+    one in each quarter of 0.2-6 Mbps, on the cubic plus uniform noise of
+    at most 0.1 dB; one random target and all three modes."""
+    rng = np.random.default_rng(seed)
+    tiers = ["360p", "540p", "720p", "1080p"]
+    gops = []
+    for i in range(n_gops):
+        cluster = int(rng.integers(1, model_set.k + 1))
+        tier = tiers[int(rng.integers(len(tiers)))]
+        model = model_set.model(cluster, rl.tier_from_name(tier))
+        bitrates = 0.2 + (np.arange(4) + rng.uniform(size=4)) / 4 * 5.8
+        psnr = rl.eval_cubic(model, bitrates) + rng.uniform(-0.1, 0.1, size=4)
+        gops.append({"gop_id": f"q{seed}-{i}", "tier": tier,
+                     "points": [[float(b), float(q)] for b, q in zip(bitrates, psnr)]})
+    target = float(rng.uniform(0.2, 6.0))
+    return {"target_bitrate": target, "modes": ["trans_size", "vl", "nzs"], "gops": gops}
+
+
+class TestEncodeBody:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_shaped_batch(self, paper_model, tables, seed):
+        payload = benchmark_shaped_payload(paper_model, seed, 1000)
+        status, body = handle_recommend_request(payload, tables)
+        assert status == 200 and all("error" not in e for e in body["recommendations"])
+        assert encode_body(body) == json.dumps(body).encode()
+
+    def test_each_decision_is_encoded_once(self, paper_model, tables, monkeypatch):
+        _, body = handle_recommend_request(benchmark_shaped_payload(paper_model, 4, 1000), tables)
+        decisions = {json.dumps({k: v for k, v in e.items() if k not in ("gop_id", "rationale")})
+                     for e in body["recommendations"]}
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(service.json, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+        data = encode_body(body)
+        monkeypatch.undo()
+        assert data == json.dumps(body).encode()
+        assert len(calls) == len(decisions) + 1  # and the savings
+
+    def test_all_error_batch(self, paper_model, tables):
+        payload = request_payload(paper_model, clusters=(6, 5, 4))
+        payload["gops"][0]["points"][0][0] = -1.0
+        payload["gops"][1]["tier"] = "1440p"
+        payload["gops"][2]["points"] = []
+        status, body = handle_recommend_request(payload, tables)
+        assert status == 200 and body["savings"] is None
+        assert all(set(e) == {"gop_id", "error"} for e in body["recommendations"])
+        assert encode_body(body) == json.dumps(body).encode()
+
+    def test_gop_ids_that_need_escaping(self, paper_model, tables):
+        payload = request_payload(paper_model, clusters=(6, 6, 5))
+        for entry, gop_id in zip(payload["gops"], ['say "hi"', "back\\slash", "line\u2028sep"]):
+            entry["gop_id"] = gop_id
+        status, body = handle_recommend_request(payload, tables)
+        assert status == 200
+        data = encode_body(body)
+        assert data == json.dumps(body).encode()
+        assert b'"say \\"hi\\""' in data and b"line\\u2028sep" in data
+
+    @pytest.mark.parametrize("body", [
+        {"error": "gops must be a non-empty list"},
+        {"savings": None, "recommendations": []},
+        # Equal values that JSON spells differently must not share an encoding.
+        {"recommendations": [
+            {"gop_id": "a", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 0.0, "modes_applied": ["vl"], "rationale": "r"},
+            {"gop_id": "b", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": -0.0, "modes_applied": ["vl"], "rationale": "r"},
+            {"gop_id": "c", "cluster": True, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
+            {"gop_id": "d", "cluster": 1, "tier": "720p", "target_bitrate": 1,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
+            {"gop_id": "e", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
+            {"gop_id": "f", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [1], "rationale": "r"},
+            {"gop_id": "g", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [True], "rationale": "r"},
+            {"gop_id": 7, "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
+        ], "savings": None},
+        {"recommendations": [
+            {"gop_id": "a", "cluster": 1, "tier": ["720p"], "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [], "rationale": "r"},
+            {"gop_id": "b", "tier": "720p", "cluster": 1, "target_bitrate": 1.0,
+             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [], "rationale": "r"},
+        ], "savings": {"total_target": 2.0}},
+    ])
+    def test_bodies_not_from_advise(self, body):
+        assert encode_body(body) == json.dumps(body).encode()

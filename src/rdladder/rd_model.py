@@ -59,6 +59,15 @@ class CubicRD:
 
 
 def _check_bitrate(r):
+    """``r`` checked finite and >= 0: a float as it is, which the plain
+    arithmetic of the callers takes without numpy's per-call overhead, and
+    anything else as an array. Both give the same IEEE operations."""
+    if type(r) is float:
+        if not math.isfinite(r):
+            raise ValidationError("bitrate must be finite")
+        if r < 0:
+            raise ValidationError("bitrate must be >= 0")
+        return r
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("bitrate must be finite")
@@ -73,16 +82,16 @@ def eval_cubic(model: CubicRD, r):
 
     Pure Horner evaluation, no clamping: range policy belongs to callers.
     """
-    arr = _check_bitrate(r)
-    out = model.c0 + arr * (model.c1 + arr * (model.c2 + arr * model.c3))
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+    x = _check_bitrate(r)
+    out = model.c0 + x * (model.c1 + x * (model.c2 + x * model.c3))
+    return float(out) if type(x) is float or x.ndim == 0 else out
 
 
 def eval_derivative(model: CubicRD, r):
     """Slope dQ/dR in dB per Mbps at bitrate ``r``; scalar in, float out."""
-    arr = _check_bitrate(r)
-    out = model.c1 + arr * (2.0 * model.c2 + arr * (3.0 * model.c3))
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+    x = _check_bitrate(r)
+    out = model.c1 + x * (2.0 * model.c2 + x * (3.0 * model.c3))
+    return float(out) if type(x) is float or x.ndim == 0 else out
 
 
 def _as_points(points: PointSeq) -> tuple[np.ndarray, np.ndarray]:

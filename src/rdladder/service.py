@@ -1,33 +1,26 @@
-"""Stateless advisory endpoint: POST /v1/recommend takes observed
-(bitrate, psnr) points per GOP plus a target bitrate and modes, and
-answers with per-GOP recommendations and a savings summary.
+"""The advisory endpoint: POST /v1/recommend takes observed (bitrate,
+psnr) points per GOP plus a target bitrate and modes, and answers with
+per-GOP recommendations and a savings summary (README's "Advisory
+service wire format" gives both documents).
 
-Requests are independent and served over decision tables built once at
-start-up and never mutated, so the worker threads need no locking.
-Malformed requests get structured error documents, never dropped
-connections.
-
-Request document:
-    {"target_bitrate": 3.0, "modes": ["vl"],
-     "gops": [{"gop_id": "g1", "tier": "1080p", "points": [[0.8, 37.1], ...]}]}
-
-Response document:
-    {"recommendations": [...one entry per request GOP, in order...],
-     "savings": {"total_target": ..., "total_proposed": ..., "saving_percent": ...}}
-
-A GOP that cannot be answered gets {"gop_id": ..., "error": ...} in its
-slot; the savings summary covers the answered GOPs (null if none).
+The HTTP layer is a plain socket loop: each of ``WORKERS`` threads
+accepts a connection, reads one request against one deadline, answers
+it in HTTP/1.0 and closes the connection. Protocol faults get JSON error
+documents, as malformed requests do. The decision tables are built once
+at start-up and never mutated, so the workers need no locking.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import re
 import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from contextlib import suppress
+from http import HTTPStatus
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
@@ -49,6 +42,13 @@ WORKERS = 8
 # that each write of the answer may wait; the connection is closed after
 # that, so a client that stops or trickles holds a worker that long at most.
 CONNECTION_TIMEOUT_S = 10.0
+# Longest request head (request line and headers) read, in bytes; a
+# longer one is answered 431.
+MAX_HEAD_BYTES = 64 * 1024
+# The blank line that ends a request head; a bare LF ends a line too.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+# Control characters are written escaped in the log, as http.server does.
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
 # The keys of an answered entry of the advice document, in order.
 _ANSWER_KEYS = ("gop_id", "cluster", "tier", "target_bitrate", "proposed_bitrate",
                 "predicted_psnr", "modes_applied", "rationale")
@@ -234,41 +234,105 @@ def encode_body(body: dict) -> bytes:
     return f'{{"recommendations": [{", ".join(parts)}], "savings": {savings}}}'.encode()
 
 
-class _DeadlineReader(io.RawIOBase):
-    """A connection's incoming bytes, read against one deadline: each read
-    waits only for the time left until it, and raises TimeoutError, as a
-    socket read that times out does, once it has passed."""
+class _Exchange:
+    """One connection: ``handle`` reads the request head and hands a POST
+    to ``do_POST``. Each server subclasses it with its ``tables`` and
+    ``quiet``; a wrapper put on the subclass's ``do_POST`` sees every POST."""
 
-    def __init__(self, sock: socket.socket, seconds: float):
-        self._sock = sock
-        self._deadline = time.monotonic() + seconds
+    def __init__(self, connection: socket.socket, client_address):
+        self.connection = connection
+        self.client_address = client_address
+        self.deadline = time.monotonic() + CONNECTION_TIMEOUT_S
+        self.requestline = ""
 
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        left = self._deadline - time.monotonic()
+    def _receiving(self) -> socket.socket:
+        """The connection, set to wait no later than the request deadline."""
+        left = self.deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("request deadline passed")
-        self._sock.settimeout(left)
-        return self._sock.recv_into(buffer)
+        self.connection.settimeout(left)
+        return self.connection
+
+    def _send(self, status: int, body: dict):
+        data = encode_body(body)
+        head = (f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Date: {time.strftime('%a, %d %b %Y %H:%M:%S GMT', time.gmtime())}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n")
+        self.connection.settimeout(CONNECTION_TIMEOUT_S)
+        self.connection.sendall(head.encode() + data)
+        if not self.quiet:  # the Common Log Format line of http.server
+            sys.stderr.write(f'{self.client_address[0]} - - [{time.strftime("%d/%b/%Y %H:%M:%S")}] '
+                             f'"{self.requestline.translate(_LOG_ESCAPES)}" {status} -\n')
+
+    def handle(self):
+        data, end = bytearray(), None
+        while end is None and len(data) <= MAX_HEAD_BYTES:
+            chunk = self._receiving().recv(65536)
+            if not chunk:  # the client closed before its head ended
+                return
+            data += chunk
+            end = _HEAD_END.search(data, max(0, len(data) - len(chunk) - 3))
+        if end is None or end.start() > MAX_HEAD_BYTES:
+            return self._send(431, {"error": "request head too large"})
+        requestline, *lines = data[:end.start()].decode("latin-1").split("\n")
+        self.requestline = requestline.rstrip("\r")
+        words = self.requestline.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            return self._send(400, {"error": "malformed request line"})
+        fields = [line.partition(":") for line in lines]
+        if not all(colon for _, colon, _ in fields):
+            return self._send(400, {"error": "malformed header line"})
+        # Names are matched in lower case; the first of a repeated field counts.
+        self.headers = {name.lower(): value.strip() for name, _, value in reversed(fields)}
+        method, self.path, _ = words
+        self.rest = memoryview(data)[end.end():]  # the body's first bytes
+        if method != "POST":
+            return self._send(405, {"error": f"only POST {RECOMMEND_PATH} is supported"})
+        self.do_POST()
+
+    def do_POST(self):
+        if self.path != RECOMMEND_PATH:
+            return self._send(404, {"error": f"unknown path {self.path!r}; POST {RECOMMEND_PATH}"})
+        length_field = self.headers.get("content-length")
+        if length_field is None:
+            return self._send(411, {"error": "Content-Length required"})
+        try:
+            length = int(length_field)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return self._send(400, {"error": "Content-Length must be a non-negative integer"})
+        if length > MAX_BODY_BYTES:
+            return self._send(413, {"error": "request body too large"})
+        body = bytearray(length)  # the only copy of the body
+        got = min(length, len(self.rest))
+        body[:got] = self.rest[:got]
+        with memoryview(body) as view:
+            while got < length and (n := self._receiving().recv_into(view[got:])):
+                got += n
+        del body[got:]  # a client that closed early sent less
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            return self._send(400, {"error": "request body must be valid JSON"})
+        try:
+            status, answer = handle_recommend_request(payload, self.tables)
+        except Exception as exc:  # defensive: never drop the connection
+            status, answer = 500, {"error": f"internal error: {exc}"}
+        self._send(status, answer)
 
 
-class _AdvisoryServer(HTTPServer):
-    """``serve_forever`` runs ``WORKERS`` threads, each of which accepts a
-    connection on the listening socket and serves it to the end: no
-    thread is started per connection and none hands sockets to another."""
+class _AdvisoryServer:
+    """``serve_forever`` runs ``WORKERS`` threads; each accepts a connection,
+    answers one request on it and closes it. No thread is started per connection."""
 
-    # socketserver's default listen backlog of 5 overflows when a burst of
-    # clients connects at once; the excess connections were then reset
-    # instead of queued.
-    request_queue_size = 128
-
-    def __init__(self, server_address, handler_class):
-        super().__init__(server_address, handler_class)
+    def __init__(self, server_address, handler_class: type[_Exchange]):
+        self.RequestHandlerClass = handler_class
+        # A burst of clients overflows a short backlog: the excess is reset.
+        self.socket = socket.create_server(server_address, backlog=128)
+        self.server_address = self.socket.getsockname()
         # Held until a stop is asked for; serve_forever waits to acquire it.
-        # A lock and not an Event: a signal handler may release it at any
-        # point of the thread it interrupts without deadlocking.
+        # Not an Event: a signal handler may release a lock without deadlock.
         self._running = threading.Lock()
         self._running.acquire()
         self._stopping = threading.Event()
@@ -287,116 +351,51 @@ class _AdvisoryServer(HTTPServer):
         finally:
             self._stopping.set()
             # Once _stopping is set a worker accepts one more connection at
-            # most, so one loopback connection per worker wakes each one
-            # blocked in accept(); it serves it as an empty request and ends.
+            # most, so one empty loopback connection per worker wakes each
+            # one blocked in accept(), and it ends.
             for _ in workers:
-                try:
+                with suppress(OSError):
                     socket.create_connection(self.server_address, timeout=1).close()
-                except OSError:
-                    pass
             for worker in workers:
                 worker.join()
             self._stopped.set()
 
     def stop(self):
-        """Ask ``serve_forever`` to return, without waiting for it; safe
-        to call from a signal handler."""
-        try:
+        """Ask ``serve_forever`` to return without waiting; safe in a signal handler."""
+        with suppress(RuntimeError):  # asked before
             self._running.release()
-        except RuntimeError:  # asked before
-            pass
 
     def shutdown(self):
         """Stop ``serve_forever`` from another thread; returns once it has."""
         self.stop()
         self._stopped.wait()
 
+    def server_close(self):
+        self.socket.close()
+
     def _serve_connections(self):
         # A plain blocking accept(), with no timeout and no select(): Linux
         # then wakes one waiting worker per connection, not all of them.
         while not self._stopping.is_set():
             try:
-                request, client_address = self.get_request()
+                connection, client_address = self.socket.accept()
             except OSError:  # the client gave up before it was accepted
                 continue
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
+            with connection:
+                try:
+                    self.RequestHandlerClass(connection, client_address).handle()
+                except OSError:  # the client went away, or its deadline passed
+                    pass
+                except Exception:  # a fault in one connection ends no worker
+                    sys.excepthook(*sys.exc_info())
 
 
-def make_server(
-    model_set: ClusterModelSet,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    cfg: DecisionConfig | None = None,
-    quiet: bool = True,
-) -> _AdvisoryServer:
+def make_server(model_set: ClusterModelSet, host: str = "127.0.0.1", port: int = 8080,
+                cfg: DecisionConfig | None = None, quiet: bool = True) -> _AdvisoryServer:
     """Build (but do not start) the advisory HTTP server; callers run
     ``serve_forever``, then ``shutdown`` from another thread, then
-    ``server_close``, which keeps tests and the CLI honest about
-    ownership of the listening socket. The decision tables are built
-    here, once, and every request reuses them."""
+    ``server_close``, which owns the listening socket. The decision
+    tables are built here, once, and every request reuses them."""
     tables = DecisionTables(model_set, cfg or DecisionConfig())
-
-    class AdvisoryHandler(BaseHTTPRequestHandler):
-        # http.server closes a connection whose read or write times out.
-        timeout = CONNECTION_TIMEOUT_S
-
-        def setup(self):
-            super().setup()
-            # The whole request, headers and body, is read against one
-            # deadline, so a client that trickles bytes is cut off too.
-            self.rfile.close()
-            self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
-
-        def _send(self, status: int, body: dict):
-            data = encode_body(body)
-            self.connection.settimeout(self.timeout)
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_POST(self):
-            if self.path != RECOMMEND_PATH:
-                self._send(404, {"error": f"unknown path {self.path!r}; POST {RECOMMEND_PATH}"})
-                return
-            length_field = self.headers.get("Content-Length")
-            if length_field is None:
-                self._send(411, {"error": "Content-Length required"})
-                return
-            try:
-                length = int(length_field)
-            except ValueError:
-                length = -1
-            if length < 0:
-                # rfile.read(-1) would wait for the client to close.
-                self._send(400, {"error": "Content-Length must be a non-negative integer"})
-                return
-            if length > MAX_BODY_BYTES:
-                self._send(413, {"error": "request body too large"})
-                return
-            try:
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._send(400, {"error": "request body must be valid JSON"})
-                return
-            try:
-                status, body = handle_recommend_request(payload, tables)
-            except Exception as exc:  # defensive: never drop the connection
-                self._send(500, {"error": f"internal error: {exc}"})
-                return
-            self._send(status, body)
-
-        def do_GET(self):
-            self._send(405, {"error": f"only POST {RECOMMEND_PATH} is supported"})
-
-        def log_message(self, fmt, *args):
-            if not quiet:
-                super().log_message(fmt, *args)
-
-    return _AdvisoryServer((host, port), AdvisoryHandler)
+    handler = type("AdvisoryHandler", (_Exchange,), {"tables": tables, "quiet": quiet})
+    return _AdvisoryServer((host, port), handler)

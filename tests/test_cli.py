@@ -329,7 +329,7 @@ def test_python_dash_m_help_exits_0():
 
 def test_cli_import_leaves_out_the_server_and_the_paper_check():
     # Every command pays for what importing the CLI loads; only `serve` needs
-    # signal and http.server, and only `verify-paper` needs the reference tables.
+    # signal and the service, and only `verify-paper` needs the reference tables.
     code = ("import sys, rdladder.cli; "
             "print(sorted({'signal', 'http.server', 'rdladder.service', 'rdladder.verify'}"
             " & set(sys.modules)))")
@@ -338,6 +338,16 @@ def test_cli_import_leaves_out_the_server_and_the_paper_check():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
+
+def test_service_import_leaves_out_http_server_and_email():
+    # The service speaks HTTP over a plain socket loop; http.server and its
+    # email header parser cost every `serve` process about 26 ms to import.
+    code = ("import sys, rdladder.service; "
+            "print(sorted({'http.server', 'socketserver', 'email'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 def test_train_leaves_out_numpy_ma(tmp_path, training_file):
     # numpy 2.x imports numpy.ma on the first np.unique call, which cost

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
+from rdladder import rd_model
 from rdladder.errors import (
     ConditioningError,
     InsufficientDataError,
@@ -71,6 +72,58 @@ class TestEval:
         qs = rl.eval_cubic(model, rs)
         assert qs.shape == rs.shape
         assert qs[0] == rl.eval_cubic(model, float(rs[0]))
+
+
+def _float_path_models():
+    """A paper curve (float coefficients) and a fitted one (numpy float64
+    coefficients): the float path must match the array path for both."""
+    paper = rl.builtin_model().model(3, rl.tier_from_name("720p"))
+    rs = np.array([0.3, 1.1, 2.4, 3.9, 5.2, 6.0])
+    return paper, rl.fit_polynomial(list(zip(rs, rl.eval_cubic(paper, rs) + 0.01 * rs)), 3)
+
+
+class TestFloatPath:
+    """A Python float is evaluated with plain arithmetic, anything else
+    through numpy; both must agree to the bit and fail alike."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(r=st.floats(0.0, 50.0))
+    def test_bit_identical_to_the_array_path(self, r):
+        for model in _float_path_models():
+            for evaluate in (rl.eval_cubic, rl.eval_derivative):
+                scalar = evaluate(model, r)
+                assert type(scalar) is float
+                assert scalar.hex() == float(evaluate(model, np.array([r]))[0]).hex()
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "bitrate must be finite"),
+        (float("inf"), "bitrate must be finite"),
+        (-float("inf"), "bitrate must be finite"),
+        (-0.5, "bitrate must be >= 0"),
+        (-5e-324, "bitrate must be >= 0"),
+    ])
+    def test_bad_floats_raise_the_array_path_messages(self, bad, message):
+        model = _float_path_models()[0]
+        for evaluate in (rl.eval_cubic, rl.eval_derivative):
+            for r in (bad, np.array(bad), np.array([1.0, bad])):
+                with pytest.raises(ValidationError) as raised:
+                    evaluate(model, r)
+                assert str(raised.value) == message
+
+    @pytest.mark.parametrize("r", [2, np.float64(2.0), np.float32(2.0), np.int64(2),
+                                   np.array(2.0), np.array([2.0, 3.0])])
+    def test_other_types_keep_the_numpy_path(self, r):
+        assert isinstance(rd_model._check_bitrate(r), np.ndarray)
+        model = _float_path_models()[0]
+        out = rl.eval_cubic(model, r)
+        if np.ndim(r):
+            assert isinstance(out, np.ndarray) and out[0] == rl.eval_cubic(model, 2.0)
+        else:
+            assert type(out) is float and out == rl.eval_cubic(model, 2.0)
+
+    def test_negative_zero_is_a_bitrate(self):
+        model = _float_path_models()[0]
+        assert rl.eval_cubic(model, -0.0) == rl.eval_cubic(model, 0.0) == model.c0
 
 
 class TestDerivative:

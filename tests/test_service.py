@@ -408,6 +408,147 @@ class TestWorkerPool:
         assert not thread.is_alive()
         assert threading.active_count() == before
 
+    def test_do_post_is_looked_up_on_the_handler_class_for_every_request(self, pooled,
+                                                                         paper_model, monkeypatch):
+        # A tracer wraps RequestHandlerClass.do_POST after make_server returns.
+        srv, _, _ = pooled
+        handler = srv.RequestHandlerClass
+        original, calls = handler.do_POST, []
+
+        def counting(self):
+            calls.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(handler, "do_POST", counting)
+        payload = json.dumps(request_payload(paper_model)).encode()
+        statuses = [post(srv, "/v1/recommend", payload)[0] for _ in range(3)]
+        statuses.append(post(srv, "/v2/other", b"{}")[0])
+        assert statuses == [200, 200, 200, 404]
+        assert calls == ["/v1/recommend"] * 3 + ["/v2/other"]
+
+
+def raw_exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a new connection and return all it gets back
+    before the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):  # answered before it all went out
+            pass
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:  # closed with bytes of the request unread
+            pass
+    return reply
+
+
+def status_and_document(reply: bytes) -> tuple[bytes, dict]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *fields = head.split(b"\r\n")
+    assert status_line.startswith(b"HTTP/1.0 ")
+    assert b"Content-Type: application/json" in fields
+    assert b"Content-Length: %d" % len(body) in fields
+    return status_line.split(b" ")[1], json.loads(body)
+
+
+ONLY_POST = {"error": "only POST /v1/recommend is supported"}
+
+
+class TestProtocolFaults:
+    """Whatever a client sends, it gets a JSON error document or a plain
+    close, and the server keeps its workers and answers the next request."""
+
+    @pytest.mark.parametrize("request_bytes, status, document", [
+        (b"GARBAGE\r\n\r\n", b"400", {"error": "malformed request line"}),
+        (b"POST /v1/recommend\r\n\r\n", b"400", {"error": "malformed request line"}),
+        (b"POST /v1/recommend FTP/1.0\r\n\r\n", b"400", {"error": "malformed request line"}),
+        (b"\r\n\r\n", b"400", {"error": "malformed request line"}),
+        (b"POST /v1/recommend HTTP/1.1\r\nHost: x\r\nno colon here\r\n\r\n", b"400",
+         {"error": "malformed header line"}),
+        (b"POST /v1/recommend HTTP/1.1\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n", b"431",
+         {"error": "request head too large"}),
+        (b"POST /v1/recommend HTTP/1.1\r\nX-Pad: " + b"a" * 100_000, b"431",
+         {"error": "request head too large"}),
+        (b"PUT /v1/recommend HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", b"405", ONLY_POST),
+        (b"HEAD /v1/recommend HTTP/1.1\r\n\r\n", b"405", ONLY_POST),
+        (b"DELETE /v2/other HTTP/1.0\r\n\r\n", b"405", ONLY_POST),
+        (b"POST /v1/recommend HTTP/1.1\r\nContent-Length: x\r\n\r\n", b"400",
+         {"error": "Content-Length must be a non-negative integer"}),
+    ])
+    def test_fault_gets_a_json_error(self, pooled, paper_model, request_bytes, status, document):
+        srv, _, before = pooled
+        reply = raw_exchange(srv.server_address[1], request_bytes)
+        assert status_and_document(reply) == (status, document)
+        self.assert_still_serving(srv, before, paper_model)
+
+    def test_client_that_sends_nothing_is_closed(self, pooled, paper_model):
+        srv, _, before = pooled
+        assert raw_exchange(srv.server_address[1], b"") == b""
+        with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+            sock.shutdown(socket.SHUT_WR)  # closes its side without a byte
+            assert sock.recv(1024) == b""
+        self.assert_still_serving(srv, before, paper_model)
+
+    def test_head_cut_short_is_closed(self, pooled, paper_model):
+        srv, _, before = pooled
+        with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+            sock.sendall(b"POST /v1/recommend HTTP/1.1\r\nContent-Le")
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1024) == b""
+        self.assert_still_serving(srv, before, paper_model)
+
+    def test_handler_fault_is_a_json_500(self, pooled, paper_model, monkeypatch):
+        srv, _, before = pooled
+
+        def broken(payload, tables):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "handle_recommend_request", broken)
+        payload = json.dumps(request_payload(paper_model)).encode()
+        reply = raw_exchange(srv.server_address[1],
+                             b"POST /v1/recommend HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                             % len(payload) + payload)
+        assert status_and_document(reply) == (b"500", {"error": "internal error: boom"})
+        monkeypatch.undo()
+        self.assert_still_serving(srv, before, paper_model)
+
+    def test_fault_outside_the_handler_ends_no_worker(self, pooled, paper_model, monkeypatch):
+        # Each worker loses its connection to the fault and goes on serving.
+        srv, _, before = pooled
+
+        def broken(body):
+            raise RuntimeError("cannot encode")
+
+        monkeypatch.setattr(service, "encode_body", broken)
+        monkeypatch.setattr(service.sys, "excepthook", lambda *exc_info: None)
+        for _ in range(2 * WORKERS):
+            assert raw_exchange(srv.server_address[1], b"GET / HTTP/1.0\r\n\r\n") == b""
+        monkeypatch.undo()
+        self.assert_still_serving(srv, before, paper_model)
+
+    def test_lf_line_ends_and_a_body_sent_after_the_head(self, pooled, paper_model):
+        srv, _, before = pooled
+        payload = json.dumps(request_payload(paper_model)).encode()
+        with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+            sock.sendall(b"POST /v1/recommend HTTP/1.0\ncontent-length:%d\n\n" % len(payload))
+            time.sleep(0.05)
+            for start in range(0, len(payload), 50):
+                sock.sendall(payload[start:start + 50])
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status, document = status_and_document(reply)
+        assert status == b"200" and document["recommendations"][0]["cluster"] == 6
+        self.assert_still_serving(srv, before, paper_model)
+
+    @staticmethod
+    def assert_still_serving(srv, before, paper_model):
+        assert thread_count_reaching(before + 1 + WORKERS) == before + 1 + WORKERS
+        status, raw = post(srv, "/v1/recommend", json.dumps(request_payload(paper_model)).encode())
+        assert status == 200 and json.loads(raw)["recommendations"][0]["cluster"] == 6
+
 
 def stop_with_sigterm(proc) -> tuple[int, float, str]:
     """SIGTERM a running ``serve``; returns its exit code, the seconds it

@@ -1,7 +1,8 @@
 """Parametric rate-distortion model for video transcoding decisions.
 
-Measured per-GOP (bitrate, PSNR) curves are clustered per resolution
-tier; each cluster centroid gets a cubic quality-vs-bitrate fit. From
+Measured per-GOP (bitrate, PSNR) curves are clustered over all
+resolution tiers at once, so a GOP has one cluster at every tier; each
+(cluster, tier) centroid gets a cubic quality-vs-bitrate fit. From
 those fits the package derives knee points and resolution ladders,
 visually-lossless bitrate thresholds and near-zero-slope intervals, and
 turns them into per-GOP trans-sizing/trans-rating recommendations with

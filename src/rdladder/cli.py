@@ -96,14 +96,14 @@ def cmd_train(args) -> int:
     text = Path(args.measurements).read_text(encoding="utf-8")
     mset = parse_measurements(text, source=args.measurements)
     grid = _parse_grid(args.grid) if args.grid else BitrateGrid.default()
-    model_set, kmeans_results = train_details(
-        resample_to_grid(mset, grid), grid, k=args.k, seed=args.seed
-    )
+    model_set, result = train_details(resample_to_grid(mset, grid), grid, k=args.k, seed=args.seed)
 
     Path(args.out).write_text(save_model(model_set), encoding="utf-8")
-    for tier in model_set.tiers:
-        result = kmeans_results[tier]
-        print(f"tier {tier}: inertia {result.inertia:.6f} over {result.n_iter} iterations")
+    gops = len({gop_id for gop_id, _ in mset.groups})
+    print(
+        f"clustered {len(result.labels)} of {gops} GOPs (measured at every tier): "
+        f"inertia {result.inertia:.6f} over {result.n_iter} iterations"
+    )
     for cluster in model_set.clusters:
         for tier in model_set.tiers:
             centroid = model_set.centroid(cluster, tier)

@@ -1,11 +1,12 @@
 """Fixed-grid R-D vectors, K-means clustering of them, and cluster
 assignment for new measurements.
 
-Each GOP's measured curve is resampled onto a shared bitrate grid, the
-resulting PSNR vectors are clustered per resolution tier with K-means
-(k-means++ seeding, Lloyd iterations), and each cluster centroid gets a
-cubic fit. Cluster indices are 1-based in the assembled model; raw
-K-means labels are 0-based.
+Each GOP's measured curve is resampled onto a shared bitrate grid at
+every resolution tier, the GOPs are clustered with one K-means over their
+tier vectors laid end to end (k-means++ seeding, Lloyd iterations), so a
+GOP has one cluster at every tier, and each (cluster, tier) block of a
+centroid gets a cubic fit. Cluster indices are 1-based in the assembled
+model; raw K-means labels are 0-based.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class TierVectors:
         object.__setattr__(self, "psnr", psnr)
         if psnr.ndim != 2 or len(psnr) != len(self.gop_ids):
             raise ValidationError("PSNR vectors must form a matrix with one row per GOP")
+        if len(set(self.gop_ids)) != len(self.gop_ids):
+            raise ValidationError("a GOP may have only one PSNR vector per tier")
         finite = np.isfinite(psnr).all(axis=1) & (psnr.shape[1] > 0)
         in_range = ((psnr > 0) & (psnr <= 100)).all(axis=1)
         bad = np.flatnonzero(~(finite & in_range))
@@ -173,8 +176,9 @@ def kmeans(
     seed: int = 42,
     init_centroids: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Deterministic K-means over the rows of a [vectors, grid] PSNR
-    matrix, such as one tier's ``TierVectors.psnr``.
+    """Deterministic K-means over the rows of a PSNR matrix, such as one
+    tier's ``TierVectors.psnr`` or ``train_details``' [GOPs, tiers x grid]
+    matrix of each GOP's tier vectors laid end to end.
 
     k-means++ seeding from ``seed``, Lloyd iterations, Euclidean distance.
     Converges when the largest centroid displacement drops below
@@ -283,100 +287,55 @@ class ClusterModelSet:
             raise ValidationError(f"model has no centroid for cluster {cluster} at {tier}") from None
 
 
-def _greedy_match(
-    ref_sets: list[set], ref_means: list[float], other_sets: list[set], other_means: list[float]
-) -> dict[int, int]:
-    """Match each reference cluster (row) to one other-tier cluster (column).
-
-    Primary signal is shared GOP membership; mean-PSNR distance breaks ties
-    and covers tiers with disjoint GOP ids. Returns {ref_index: other_index}.
-    """
-    k = len(ref_sets)
-    pairs = []
-    for i in range(k):
-        for j in range(k):
-            overlap = len(ref_sets[i] & other_sets[j])
-            pairs.append((-overlap, abs(ref_means[i] - other_means[j]), i, j))
-    pairs.sort()
-    mapping: dict[int, int] = {}
-    used = set()
-    for _, _, i, j in pairs:
-        if i in mapping or j in used:
-            continue
-        mapping[i] = j
-        used.add(j)
-    return mapping
-
-
 def train_details(
     vectors_by_tier: Mapping[ResolutionTier, TierVectors],
     grid: BitrateGrid,
     k: int = 6,
     seed: int = 42,
-) -> tuple[ClusterModelSet, dict[ResolutionTier, KMeansResult]]:
-    """Cluster each tier independently, fit a cubic per centroid, and
-    assemble the full model. Also returns the per-tier K-means results,
-    for callers that report inertia or convergence diagnostics.
+) -> tuple[ClusterModelSet, KMeansResult]:
+    """Cluster the GOPs measured at every tier with one K-means over their
+    tier vectors laid end to end, lowest tier first, fit a cubic to each
+    (cluster, tier) block of every centroid, and assemble the full model.
+    Also returns the K-means result (inertia and convergence diagnostics),
+    whose rows are the clustered GOPs in sorted ``gop_id`` order.
 
-    The highest tier is the reference: its clusters are numbered 1..k by
-    ascending mean centroid PSNR, and every other tier's clusters are
-    matched to reference clusters greedily by shared GOP membership (mean
-    PSNR distance as tie-break/fallback).
+    GOPs missing a tier are left out. Clusters are numbered 1..k by
+    ascending mean PSNR of their centroid's highest-tier block.
     """
     if not vectors_by_tier:
         raise InsufficientDataError("no training vectors")
     tiers = tuple(sorted(vectors_by_tier))
+    rows: list[dict[str, int]] = []  # per tier: gop_id -> row
     for tier in tiers:
         vectors = vectors_by_tier[tier]
-        if len(vectors) < k:
-            raise InsufficientDataError(f"tier {tier}: {len(vectors)} vectors < k={k}")
-        if vectors.psnr.shape[1] != len(grid):
+        if len(vectors) and vectors.psnr.shape[1] != len(grid):
             raise ValidationError(f"gop {vectors.gop_ids[0]!r}: vector length does not match grid")
         if vectors.tier != tier:
             raise ValidationError(f"gop {vectors.gop_ids[0]!r}: tier mismatch in training groups")
+        rows.append({gop_id: i for i, gop_id in enumerate(vectors.gop_ids)})
+    every = set().union(*rows)
+    complete = sorted(every.intersection(*rows))
+    if len(complete) < k:
+        raise InsufficientDataError(
+            f"{len(complete)} of {len(every)} GOPs are measured at every tier, fewer than k={k}"
+        )
 
-    results = {tier: kmeans(vectors_by_tier[tier].psnr, k, seed) for tier in tiers}
-
-    def member_sets(tier: ResolutionTier) -> list[set]:
-        sets: list[set] = [set() for _ in range(k)]
-        for gop_id, label in zip(vectors_by_tier[tier].gop_ids, results[tier].labels):
-            sets[label].add(gop_id)
-        return sets
-
-    ref = max(tiers)
-    ref_means = results[ref].centroids.mean(axis=1)
-    ref_order = list(np.argsort(ref_means, kind="stable"))  # cluster 1 = lowest mean PSNR
-    ref_sets = member_sets(ref)
-
+    x = np.hstack([vectors_by_tier[t].psnr[[r[g] for g in complete]] for t, r in zip(tiers, rows)])
+    result = kmeans(x, k, seed)
+    n = len(grid)
+    order = np.argsort(result.centroids[:, -n:].mean(axis=1), kind="stable")
     centroids: dict[tuple[int, ResolutionTier], tuple[float, ...]] = {}
     models: dict[tuple[int, ResolutionTier], CubicRD] = {}
-    for tier in tiers:
-        if tier == ref:
-            label_for_cluster = {c: ref_order[c - 1] for c in range(1, k + 1)}
-        else:
-            other_means = list(results[tier].centroids.mean(axis=1))
-            matched = _greedy_match(
-                [ref_sets[ref_order[c - 1]] for c in range(1, k + 1)],
-                [float(ref_means[ref_order[c - 1]]) for c in range(1, k + 1)],
-                member_sets(tier),
-                other_means,
-            )
-            label_for_cluster = {c: matched[c - 1] for c in range(1, k + 1)}
-        for cluster in range(1, k + 1):
-            centroid = results[tier].centroids[label_for_cluster[cluster]]
+    for cluster, label in enumerate(order, start=1):
+        for block, tier in enumerate(tiers):
+            centroid = result.centroids[label, block * n : (block + 1) * n]
             centroids[(cluster, tier)] = tuple(float(v) for v in centroid)
             models[(cluster, tier)] = fit_polynomial(list(zip(grid.bitrates, centroid)), 3)
 
     model_set = ClusterModelSet(
-        k=k,
-        grid=grid,
-        tiers=tiers,
-        centroids=centroids,
-        models=models,
-        seed=seed,
-        provenance="trained",
+        k=k, grid=grid, tiers=tiers, centroids=centroids, models=models, seed=seed, provenance="trained"
     )
-    return model_set, results
+    return model_set, result
 
 
 def nearest_clusters(

@@ -44,6 +44,7 @@ class TestTrain:
         captured = capsys.readouterr().out
         assert rc == 0
         assert "inertia" in captured and "chosen poly3" in captured
+        assert captured.startswith("clustered 60 of 60 GOPs (measured at every tier): inertia ")
         model = rl.load_model(out.read_text())
         assert model.k == 6 and model.provenance == "trained"
 

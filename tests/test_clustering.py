@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +17,9 @@ from rdladder.errors import (
 )
 from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grouped_vectors, observation_batch
+from helpers import grouped_vectors, observation_batch, package_env
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def measurements(gop_id, tier, pairs):
@@ -59,6 +65,8 @@ def test_tier_vectors_validation(t1080):
         assert str(exc.value) == message
     with pytest.raises(ValidationError):
         rl.TierVectors(t1080, ("g0",), np.full((2, 4), 30.0))
+    with pytest.raises(ValidationError, match="only one PSNR vector per tier"):
+        rl.TierVectors(t1080, ("g0", "g0"), np.full((2, 4), 30.0))
 
 
 class TestResample:
@@ -278,12 +286,46 @@ class TestTrain:
                 got = np.mean(trained.centroid(c, tier))
                 assert abs(want - got) < 0.1
 
-    def test_train_details_reports_per_tier_kmeans(self, paper_model, t1080):
+    def test_train_details_reports_one_kmeans(self, paper_model):
         grid = paper_model.grid
-        by_tier = grouped_vectors([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
-        _, results = train_details(by_tier, grid, k=6, seed=42)
-        assert set(results) == {t1080}
-        assert results[t1080].inertia == pytest.approx(0.0, abs=1e-12)
+        by_tier = grouped_vectors([1, 2, 3, 4, 5, 6], paper_model.tiers, grid, paper_model)
+        _, result = train_details(by_tier, grid, k=6, seed=42)
+        assert isinstance(result, rl.KMeansResult)
+        assert len(result.labels) == 6
+        assert result.centroids.shape == (6, len(paper_model.tiers) * len(grid))
+        assert result.inertia == pytest.approx(0.0, abs=1e-12)
+
+    def test_gops_missing_a_tier_leave_model_unchanged(self, paper_model, t360, t1080):
+        grid = paper_model.grid
+        clusters = [c for c in range(1, 7) for _ in range(5)]
+        rng = np.random.default_rng(5)
+        by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.1, rng)
+
+        def with_extra(ids_at):
+            """by_tier plus GOPs far from every centroid, ids_at(tier) of them."""
+            out = {}
+            for tier, v in by_tier.items():
+                ids = ids_at(tier)
+                far = np.full((len(ids), len(grid)), 20.0)
+                out[tier] = rl.TierVectors(tier, v.gop_ids + ids, np.vstack([v.psnr, far]))
+            return out
+
+        trained, _ = train_details(by_tier, grid, k=6, seed=42)
+        # x1 lacks 360p and x2 has 1080p only: both are left out.
+        partial = {t360: (), t1080: ("x1", "x2")}
+        more, result = train_details(with_extra(lambda t: partial.get(t, ("x1",))), grid, k=6, seed=42)
+        assert rl.save_model(more) == rl.save_model(trained)
+        assert len(result.labels) == 30
+        # Measured at every tier, x1 is clustered and moves a centroid.
+        moved, _ = train_details(with_extra(lambda t: ("x1",)), grid, k=6, seed=42)
+        assert rl.save_model(moved) != rl.save_model(trained)
+
+    def test_fewer_than_k_complete_gops(self, paper_model, t720, t1080):
+        grid = paper_model.grid
+        full = grouped_vectors(list(range(1, 7)) * 2, [t720, t1080], grid, paper_model)
+        part = rl.TierVectors(t720, full[t720].gop_ids[:4], full[t720].psnr[:4])
+        with pytest.raises(InsufficientDataError, match="4 of 12 GOPs"):
+            train_details({t720: part, t1080: full[t1080]}, grid, k=6, seed=42)
 
     def test_insufficient_vectors_per_tier(self, paper_model, t1080):
         grid = paper_model.grid
@@ -389,3 +431,39 @@ def test_model_set_must_be_complete(paper_model):
             seed=0,
             provenance="broken",
         )
+
+
+@pytest.fixture(scope="module")
+def recovery_csv():
+    """Off-grid noisy measurements of the built-in model, on which a
+    k-means of the 540p vectors alone stops in a local minimum."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "generate_measurements.py"), "--gops", "1200",
+         "--off-grid", "--samples", "12", "--noise", "0.1", "--seed", "2"],
+        env=package_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def train_text(text):
+    grid = rl.BitrateGrid.default()
+    trained, _ = train_details(rl.resample_to_grid(rl.parse_measurements(text), grid), grid)
+    return trained
+
+
+def test_training_recovers_generating_model(recovery_csv, paper_model):
+    trained = train_text(recovery_csv)
+    xs = np.linspace(*rl.OPERATING_RANGE, 501)
+    for cluster in paper_model.clusters:
+        for tier in paper_model.tiers:
+            got = rl.eval_cubic(trained.model(cluster, tier), xs)
+            want = rl.eval_cubic(paper_model.model(cluster, tier), xs)
+            assert np.max(np.abs(got - want)) < 1.0, (cluster, tier)
+        assert rl.build_ladder(trained, cluster).tiers == rl.build_ladder(paper_model, cluster).tiers
+
+
+def test_model_does_not_depend_on_row_order(recovery_csv):
+    header, *rows = recovery_csv.splitlines()
+    np.random.default_rng(11).shuffle(rows)
+    shuffled = "\n".join([header, *rows]) + "\n"
+    assert rl.save_model(train_text(shuffled)) == rl.save_model(train_text(recovery_csv))

@@ -13,7 +13,6 @@ from .clustering import (
     BitrateGrid,
     ClusterModelSet,
     KMeansResult,
-    TierVectors,
     kmeans,
     resample_to_grid,
     train_details,
@@ -46,19 +45,14 @@ from .errors import (
 from .ingest import (
     MeasurementSet,
     builtin_model,
-    format_measurements,
     load_model,
     parse_measurements,
     save_model,
 )
 from .rd_model import (
     CubicRD,
-    FitReport,
-    LogFit,
-    compare_fits,
     eval_cubic,
     eval_derivative,
-    fit_log,
     fit_polynomial,
 )
 from .tiers import STANDARD_TIERS, ResolutionTier, tier_from_name

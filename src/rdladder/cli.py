@@ -14,23 +14,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-from .clustering import BitrateGrid, ClusterModelSet, resample_to_grid, train_details
+from .clustering import BitrateGrid, ClusterModelSet, train_details
 from .decision import (
     OPERATING_RANGE,
     DecisionConfig,
     DecisionTables,
     Modes,
     ObservationBatch,
+    check_target,
     gather_groups,
 )
 from .errors import RDLadderError, ValidationError
 from .ingest import builtin_model, load_model, parse_measurements, save_model
-from .rd_model import compare_fits, eval_cubic
+from .rd_model import eval_cubic
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -96,7 +96,7 @@ def cmd_train(args) -> int:
     text = Path(args.measurements).read_text(encoding="utf-8")
     mset = parse_measurements(text, source=args.measurements)
     grid = _parse_grid(args.grid) if args.grid else BitrateGrid.default()
-    model_set, result = train_details(resample_to_grid(mset, grid), grid, k=args.k, seed=args.seed)
+    model_set, result = train_details(mset, grid, k=args.k, seed=args.seed)
 
     Path(args.out).write_text(save_model(model_set), encoding="utf-8")
     gops = len({gop_id for gop_id, _ in mset.groups})
@@ -104,12 +104,6 @@ def cmd_train(args) -> int:
         f"clustered {len(result.labels)} of {gops} GOPs (measured at every tier): "
         f"inertia {result.inertia:.6f} over {result.n_iter} iterations"
     )
-    for cluster in model_set.clusters:
-        for tier in model_set.tiers:
-            centroid = model_set.centroid(cluster, tier)
-            report = compare_fits(list(zip(grid.bitrates, centroid)))
-            mses = " ".join(f"{fam}={report.mse[fam]:.3e}" for fam in sorted(report.mse))
-            print(f"cluster {cluster} {tier}: chosen {report.chosen} ({mses})")
     print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -131,8 +125,7 @@ def cmd_recommend(args) -> int:
     modes = Modes.parse(args.modes)
     if not modes.any_enabled:
         raise ValidationError("at least one mode must be enabled (--modes)")
-    if not (math.isfinite(args.target_bitrate) and args.target_bitrate > 0):
-        raise ValidationError("target bitrate must be finite and > 0")
+    check_target(args.target_bitrate)
     text = Path(args.measurements).read_text(encoding="utf-8")
     mset = parse_measurements(text, source=args.measurements)
     if len(mset) == 0:

@@ -1,12 +1,13 @@
 """Fixed-grid R-D vectors, K-means clustering of them, and cluster
 assignment for new measurements.
 
-Each GOP's measured curve is resampled onto a shared bitrate grid at
-every resolution tier, the GOPs are clustered with one K-means over their
-tier vectors laid end to end (k-means++ seeding, Lloyd iterations), so a
-GOP has one cluster at every tier, and each (cluster, tier) block of a
-centroid gets a cubic fit. Cluster indices are 1-based in the assembled
-model; raw K-means labels are 0-based.
+Each GOP's measured curve at every resolution tier is resampled onto a
+shared bitrate grid, one matrix row per (gop, tier) group. The GOPs are
+clustered with one K-means over their tier rows laid end to end (k-means++
+seeding, Lloyd iterations), so a GOP has one cluster at every tier, and
+each (cluster, tier) block of a centroid gets a cubic fit. Cluster
+indices are 1-based in the assembled model; raw K-means labels are
+0-based.
 """
 
 from __future__ import annotations
@@ -63,43 +64,13 @@ class BitrateGrid:
         return len(self.bitrates)
 
 
-@dataclass(frozen=True, eq=False)
-class TierVectors:
-    """PSNR vectors of GOPs at one resolution tier, on one bitrate grid:
-    row ``i`` of ``psnr`` belongs to GOP ``gop_ids[i]``."""
-
-    tier: ResolutionTier
-    gop_ids: tuple[str, ...]
-    psnr: np.ndarray
-
-    def __post_init__(self):
-        psnr = np.asarray(self.psnr, dtype=float)
-        object.__setattr__(self, "psnr", psnr)
-        if psnr.ndim != 2 or len(psnr) != len(self.gop_ids):
-            raise ValidationError("PSNR vectors must form a matrix with one row per GOP")
-        if len(set(self.gop_ids)) != len(self.gop_ids):
-            raise ValidationError("a GOP may have only one PSNR vector per tier")
-        finite = np.isfinite(psnr).all(axis=1) & (psnr.shape[1] > 0)
-        in_range = ((psnr > 0) & (psnr <= 100)).all(axis=1)
-        bad = np.flatnonzero(~(finite & in_range))
-        if bad.size:
-            gop_id = self.gop_ids[bad[0]]
-            if not finite[bad[0]]:
-                raise ValidationError(f"gop {gop_id!r}: PSNR vector must be finite and non-empty")
-            raise ValidationError(f"gop {gop_id!r}: PSNR values must be in (0, 100] dB")
-
-    def __len__(self) -> int:
-        return len(self.gop_ids)
-
-
-def resample_to_grid(
-    mset: MeasurementSet, grid: BitrateGrid
-) -> dict[ResolutionTier, TierVectors]:
+def resample_to_grid(mset: MeasurementSet, grid: BitrateGrid) -> np.ndarray:
     """Piecewise-linear resampling of every (gop, tier) group of ``mset``
-    onto ``grid``. Returns one matrix per tier, with a row per GOP in the
-    order its group first appears in the measurements.
+    onto ``grid``: a [groups, grid] PSNR matrix, row ``g`` for group ``g``.
 
     Never extrapolates: every group's samples must span the whole grid.
+    Every resampled value must be finite and in (0, 100] dB, which a
+    MeasurementSet built by hand need not give.
     """
     gx = grid.as_array()
     starts, ends = mset.offsets[:-1], mset.offsets[1:]
@@ -122,7 +93,7 @@ def resample_to_grid(
     # every group, so only there can the right neighbour be missing).
     # np.interp also retries a NaN from the right sample; between finite
     # samples no NaN arises, and next to a non-finite one both results are
-    # non-finite, which TierVectors rejects.
+    # non-finite, which is rejected below.
     bitrates, psnr = mset.bitrates, mset.psnr
     left = starts[:, None] - 1 + np.add.reduceat(gx[:, None] >= bitrates, starts, axis=1).T
     right = np.minimum(left + 1, ends[:, None] - 1)
@@ -130,13 +101,14 @@ def resample_to_grid(
     with np.errstate(all="ignore"):
         values = np.where(x0 == gx, y0, (y1 - y0) / (x1 - x0) * (gx - x0) + y0)
 
-    members: dict[ResolutionTier, list[int]] = {}
-    for g, (_, tier) in enumerate(mset.groups):
-        members.setdefault(tier, []).append(g)
-    return {
-        tier: TierVectors(tier, tuple(mset.groups[g][0] for g in rows), values[rows])
-        for tier, rows in members.items()
-    }
+    finite = np.isfinite(values).all(axis=1)
+    bad = np.flatnonzero(~(finite & ((values > 0) & (values <= 100)).all(axis=1)))
+    if bad.size:
+        gop_id = mset.groups[bad[0]][0]
+        if not finite[bad[0]]:
+            raise ValidationError(f"gop {gop_id!r}: PSNR vector must be finite")
+        raise ValidationError(f"gop {gop_id!r}: PSNR values must be in (0, 100] dB")
+    return values
 
 
 @dataclass(frozen=True)
@@ -176,9 +148,9 @@ def kmeans(
     seed: int = 42,
     init_centroids: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Deterministic K-means over the rows of a PSNR matrix, such as one
-    tier's ``TierVectors.psnr`` or ``train_details``' [GOPs, tiers x grid]
-    matrix of each GOP's tier vectors laid end to end.
+    """Deterministic K-means over the rows of a PSNR matrix, such as
+    ``train_details``' [GOPs, tiers x grid] matrix of each GOP's resampled
+    tier vectors laid end to end.
 
     k-means++ seeding from ``seed``, Lloyd iterations, Euclidean distance.
     Converges when the largest centroid displacement drops below
@@ -260,6 +232,10 @@ class ClusterModelSet:
     provenance: str
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValidationError(f"model set needs k >= 1, got {self.k}")
+        if not self.tiers:
+            raise ValidationError("model set needs at least one tier")
         expected = {(c, t) for c in self.clusters for t in self.tiers}
         if set(self.models) != expected or set(self.centroids) != expected:
             raise ValidationError("model set must hold exactly k x |tiers| entries")
@@ -288,40 +264,35 @@ class ClusterModelSet:
 
 
 def train_details(
-    vectors_by_tier: Mapping[ResolutionTier, TierVectors],
-    grid: BitrateGrid,
-    k: int = 6,
-    seed: int = 42,
+    mset: MeasurementSet, grid: BitrateGrid, k: int = 6, seed: int = 42
 ) -> tuple[ClusterModelSet, KMeansResult]:
-    """Cluster the GOPs measured at every tier with one K-means over their
-    tier vectors laid end to end, lowest tier first, fit a cubic to each
-    (cluster, tier) block of every centroid, and assemble the full model.
-    Also returns the K-means result (inertia and convergence diagnostics),
-    whose rows are the clustered GOPs in sorted ``gop_id`` order.
+    """Resample ``mset`` onto ``grid``, cluster the GOPs measured at every
+    tier with one K-means over their tier vectors laid end to end, lowest
+    tier first, fit a cubic to each (cluster, tier) block of every
+    centroid, and assemble the full model. Also returns the K-means result
+    (inertia and convergence diagnostics), whose rows are the clustered
+    GOPs in sorted ``gop_id`` order.
 
     GOPs missing a tier are left out. Clusters are numbered 1..k by
     ascending mean PSNR of their centroid's highest-tier block.
     """
-    if not vectors_by_tier:
-        raise InsufficientDataError("no training vectors")
-    tiers = tuple(sorted(vectors_by_tier))
-    rows: list[dict[str, int]] = []  # per tier: gop_id -> row
-    for tier in tiers:
-        vectors = vectors_by_tier[tier]
-        if len(vectors) and vectors.psnr.shape[1] != len(grid):
-            raise ValidationError(f"gop {vectors.gop_ids[0]!r}: vector length does not match grid")
-        if vectors.tier != tier:
-            raise ValidationError(f"gop {vectors.gop_ids[0]!r}: tier mismatch in training groups")
-        rows.append({gop_id: i for i, gop_id in enumerate(vectors.gop_ids)})
-    every = set().union(*rows)
-    complete = sorted(every.intersection(*rows))
+    values = resample_to_grid(mset, grid)
+    tiers = tuple(sorted({tier for _, tier in mset.groups}))
+    gop_ids = sorted({gop_id for gop_id, _ in mset.groups})
+    row_of = {gop_id: i for i, gop_id in enumerate(gop_ids)}
+    column_of = {tier: j for j, tier in enumerate(tiers)}
+    index = np.full((len(gop_ids), len(tiers)), -1)  # [GOP, tier] -> group
+    for g, (gop_id, tier) in enumerate(mset.groups):
+        index[row_of[gop_id], column_of[tier]] = g
+    if np.count_nonzero(index >= 0) < len(mset.groups):
+        raise ValidationError("a GOP may have only one group per tier")
+    complete = index[(index >= 0).all(axis=1)]
     if len(complete) < k:
         raise InsufficientDataError(
-            f"{len(complete)} of {len(every)} GOPs are measured at every tier, fewer than k={k}"
+            f"{len(complete)} of {len(gop_ids)} GOPs are measured at every tier, fewer than k={k}"
         )
 
-    x = np.hstack([vectors_by_tier[t].psnr[[r[g] for g in complete]] for t, r in zip(tiers, rows)])
-    result = kmeans(x, k, seed)
+    result = kmeans(values[complete].reshape(len(complete), -1), k, seed)
     n = len(grid)
     order = np.argsort(result.centroids[:, -n:].mean(axis=1), kind="stable")
     centroids: dict[tuple[int, ResolutionTier], tuple[float, ...]] = {}
@@ -330,7 +301,7 @@ def train_details(
         for block, tier in enumerate(tiers):
             centroid = result.centroids[label, block * n : (block + 1) * n]
             centroids[(cluster, tier)] = tuple(float(v) for v in centroid)
-            models[(cluster, tier)] = fit_polynomial(list(zip(grid.bitrates, centroid)), 3)
+            models[(cluster, tier)] = fit_polynomial(list(zip(grid.bitrates, centroid)))
 
     model_set = ClusterModelSet(
         k=k, grid=grid, tiers=tiers, centroids=centroids, models=models, seed=seed, provenance="trained"

@@ -32,6 +32,19 @@ OPERATING_RANGE = (0.2, 6.0)
 # Visually-lossless thresholds may sit past the operating range (such
 # results are flagged as extrapolation), so their search reaches further.
 VL_SEARCH_RANGE = (0.2, 12.0)
+# Largest target bitrate (Mbps) a decision takes. Far above any stream, it
+# keeps every number of an answer finite: a model's cubic overflows near
+# 1e102 Mbps, and the savings totals over many GOPs much sooner.
+MAX_TARGET_BITRATE = 1e6
+
+
+def check_target(target_r: float, name: str = "target bitrate") -> None:
+    """Raise ValidationError, naming the target ``name``, unless
+    ``target_r`` is in (0, MAX_TARGET_BITRATE]."""
+    if not (math.isfinite(target_r) and target_r > 0):
+        raise ValidationError(f"{name} must be finite and > 0")
+    if target_r > MAX_TARGET_BITRATE:
+        raise ValidationError(f"{name} must be at most {MAX_TARGET_BITRATE:g} Mbps")
 
 
 @dataclass(frozen=True)
@@ -414,8 +427,7 @@ class DecisionTables:
         gets ``{"gop_id", "error"}``."""
         if not modes.any_enabled:
             raise ValidationError("at least one mode must be enabled")
-        if not (math.isfinite(target_r) and target_r > 0):
-            raise ValidationError("target bitrate must be finite and > 0")
+        check_target(target_r)
         clusters, rms, errors = self.assign(batch)
         decisions: dict[tuple[int, ResolutionTier], tuple] = {}
         entries: list[dict] = []
@@ -453,8 +465,7 @@ class DecisionTables:
         below it, then dropped to the near-zero-slope interval's lower end
         when it lies inside that interval (endpoints inclusive). The
         proposed bitrate is checked to lie in (0, target]."""
-        if not (math.isfinite(target_r) and target_r > 0):
-            raise ValidationError("target bitrate must be finite and > 0")
+        check_target(target_r)
         self.model_set.model(cluster, native)  # rejects an unknown cluster or tier
         notes: list[str] = []
         applied: list[str] = []

@@ -237,19 +237,6 @@ def parse_measurements(text: str, source: str = "") -> MeasurementSet:
     )
 
 
-def format_measurements(mset: MeasurementSet) -> str:
-    """Serialize a MeasurementSet back to the CSV format parse accepts.
-    Values keep full float fidelity (repr), so parse -> format -> parse is
-    lossless."""
-    out = [MEASUREMENT_HEADER]
-    for g in sorted(range(len(mset.groups)), key=mset.groups.__getitem__):
-        gop_id, tier = mset.groups[g]
-        bitrates, psnr = mset.rows(g)
-        for bitrate, q in zip(bitrates.tolist(), psnr.tolist()):
-            out.append(f"{gop_id},{tier.name},{bitrate!r},{q!r}")
-    return "\n".join(out) + "\n"
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .clustering import ClusterModelSet
-from .decision import DecisionConfig, DecisionTables, Modes, ObservationBatch
+from .decision import DecisionConfig, DecisionTables, Modes, ObservationBatch, check_target
 from .errors import ValidationError
 from .tiers import ResolutionTier, tier_from_name
 
@@ -183,8 +183,10 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     gops = payload.get("gops")
     if not isinstance(gops, list) or not gops:
         return 400, {"error": "gops must be a non-empty list"}
-    if not (math.isfinite(target) and target > 0):
-        return 400, {"error": "target_bitrate must be finite and > 0"}
+    try:
+        check_target(target, "target_bitrate")
+    except ValidationError as exc:
+        return 400, {"error": str(exc)}
     return 200, tables.advise(_observation_batch(gops), target, modes)
 
 

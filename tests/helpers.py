@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import rdladder as rl
+from rdladder.decision import MAX_TARGET_BITRATE
 from rdladder.errors import (
     ConflictError,
     CoverageError,
@@ -89,21 +90,33 @@ def measurement_csv(gop_clusters, tiers, bitrates, model_set=None, noise=None,
     return "\n".join(rows) + "\n"
 
 
-def grouped_vectors(gop_clusters, tiers, grid, model_set=None, noise=None, rng=None):
-    """TierVectors per tier drawn from the given clusters' centroid curves."""
+def grid_set(groups, psnr, grid) -> rl.MeasurementSet:
+    """A MeasurementSet whose group ``g``, the (gop_id, tier) pair
+    ``groups[g]``, is measured at every bitrate of ``grid``, with the PSNR
+    values ``psnr[g]``."""
+    return rl.MeasurementSet(
+        groups=tuple(groups),
+        offsets=np.arange(len(groups) + 1) * len(grid),
+        bitrates=np.tile(grid.as_array(), len(groups)),
+        psnr=np.asarray(psnr, dtype=float).reshape(len(groups) * len(grid)),
+    )
+
+
+def grid_measurements(gop_clusters, tiers, grid, model_set=None, noise=None, rng=None):
+    """On-grid measurements drawn from the given clusters' centroid curves:
+    GOP ``gop{i:03d}`` of cluster ``gop_clusters[i]`` at every tier, tier
+    by tier, resampling to its PSNR values at the grid's bitrates."""
     model_set = model_set or rl.builtin_model()
-    by_tier = {}
+    groups, rows = [], []
     for tier in tiers:
-        rows = []
-        for cluster in gop_clusters:
+        for index, cluster in enumerate(gop_clusters):
             model = model_set.model(cluster, tier)
             psnr = [rl.eval_cubic(model, b) for b in grid.bitrates]
             if noise:
                 psnr = [q + rng.uniform(-noise, noise) for q in psnr]
+            groups.append((f"gop{index:03d}", tier))
             rows.append(psnr)
-        gop_ids = tuple(f"gop{index:03d}" for index in range(len(gop_clusters)))
-        by_tier[tier] = rl.TierVectors(tier, gop_ids, np.array(rows))
-    return by_tier
+    return grid_set(groups, rows, grid)
 
 
 @dataclass(frozen=True)
@@ -382,8 +395,8 @@ def reference_handle(payload, tables) -> tuple[int, dict]:
     ints or floats (not bools); an integer too large for a float reads as
     infinite. Each mode must be exactly one of the three names. The
     target is converted with ``float()``, so it may be a bool or a
-    numeric string, and a NaN or non-positive target is answered "must be
-    > 0"; an infinite target reaches ``advise``, which raises."""
+    numeric string; a NaN or non-positive target is answered "must be
+    > 0", and a target above ``MAX_TARGET_BITRATE`` "must be at most"."""
     if not isinstance(payload, dict):
         return 400, {"error": "request body must be a JSON object"}
     try:
@@ -404,6 +417,8 @@ def reference_handle(payload, tables) -> tuple[int, dict]:
         return 400, {"error": "gops must be a non-empty list"}
     if not (target > 0):
         return 400, {"error": "target_bitrate must be > 0"}
+    if target > MAX_TARGET_BITRATE:
+        return 400, {"error": f"target_bitrate must be at most {MAX_TARGET_BITRATE:g} Mbps"}
 
     slots = []
     for index, entry in enumerate(gops):

@@ -14,7 +14,7 @@ from rdladder.verify import DISCREPANCY, verify_rows
 from helpers import (
     bisection_roots,
     central_difference,
-    grouped_vectors,
+    grid_measurements,
     observation_batch,
     random_cubics,
 )
@@ -183,8 +183,11 @@ def test_criterion_7_fit_family_ordering():
         b = rng.uniform(0.5, 4.0)
         c = rng.uniform(20.0, 35.0)
         qs = a * np.log1p(b * rs) + c  # smooth concave synthetic R-D curve
-        rep = rl.compare_fits(list(zip(rs, qs)))
-        if rep.mse["poly3"] <= rep.mse["poly2"] + 1e-12 <= rep.mse["linear"] + 2e-12:
+        # np.polyfit's linear and quadratic fits are the oracle for the cubic's.
+        linear, quadratic = (np.polyval(np.polyfit(rs, qs, degree), rs) for degree in (1, 2))
+        cubic = rl.eval_cubic(rl.fit_polynomial(list(zip(rs, qs))), rs)
+        mse = [float(np.mean((fit - qs) ** 2)) for fit in (cubic, quadratic, linear)]
+        if mse[0] <= mse[1] + 1e-12 <= mse[2] + 2e-12:
             wins += 1
     report(7, "cubic <= quadratic <= linear MSE on 20 synthetic curves", wins == 20, f"{wins}/20")
 
@@ -194,8 +197,8 @@ def test_criterion_8_clustering_recovery(model):
     recovered = 0
     for seed in range(10):
         rng = np.random.default_rng(5000 + seed)
-        vectors = grouped_vectors(clusters, [T1080], model.grid, model, noise=0.1, rng=rng)[T1080]
-        result = rl.kmeans(vectors.psnr, k=6, seed=seed)
+        mset = grid_measurements(clusters, [T1080], model.grid, model, noise=0.1, rng=rng)
+        result = rl.kmeans(rl.resample_to_grid(mset, model.grid), k=6, seed=seed)
         mapping: dict[int, set] = {}
         for want, got in zip(clusters, result.labels):
             mapping.setdefault(want, set()).add(got)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import rdladder as rl
-from rdladder import cli, verify
+from rdladder import cli, service, verify
+from rdladder.decision import MAX_TARGET_BITRATE
 from rdladder.verify import DISCREPANCY, FAIL, VerifyRow
 
 from helpers import measurement_csv, package_env
@@ -43,8 +44,12 @@ class TestTrain:
         rc = cli.main(["train", str(training_file), "--out", str(out), "--k", "6", "--seed", "42"])
         captured = capsys.readouterr().out
         assert rc == 0
-        assert "inertia" in captured and "chosen poly3" in captured
-        assert captured.startswith("clustered 60 of 60 GOPs (measured at every tier): inertia ")
+        mset = rl.parse_measurements(training_file.read_text())
+        _, result = rl.train_details(mset, rl.BitrateGrid.default(), k=6, seed=42)
+        assert captured == (
+            f"clustered 60 of 60 GOPs (measured at every tier): inertia {result.inertia:.6f} "
+            f"over {result.n_iter} iterations\nmodel written to {out}\n"
+        )
         model = rl.load_model(out.read_text())
         assert model.k == 6 and model.provenance == "trained"
 
@@ -220,6 +225,23 @@ class TestRecommend:
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: target bitrate must be finite and > 0\n"
 
+    def test_target_bound(self, test2_file, capsys):
+        # Up to the bound, every number of the answer is finite; above it,
+        # where a cubic or the totals overflow, the target is an input error.
+        def recommend(target, modes):
+            rc = cli.main(["recommend", "--paper-model", str(test2_file), "--target-bitrate",
+                           repr(target), "--modes", modes, "--format", "json"])
+            return rc, capsys.readouterr()
+
+        for modes in ("nzs", "vl", "trans_size,vl,nzs"):
+            rc, captured = recommend(MAX_TARGET_BITRATE, modes)
+            assert rc == 0
+            json.loads(captured.out, parse_constant=pytest.fail)
+            for target in (float(np.nextafter(MAX_TARGET_BITRATE, np.inf)), 1e120, 1e308):
+                rc, captured = recommend(target, modes)
+                assert rc == 1 and captured.out == ""
+                assert captured.err == "error: target bitrate must be at most 1e+06 Mbps\n"
+
     def test_empty_measurements_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("gop_id,resolution,bitrate_mbps,psnr_db\n")
@@ -386,6 +408,28 @@ def test_serve_port_out_of_range_exits_1(port, capsys):
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith(f"error: cannot bind 127.0.0.1:{port}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k, tiers", [(0, ["1080p"]), (1, [])], ids=["k0", "no-tiers"])
+def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys, k, tiers):
+    doc = json.loads(rl.save_model(rl.builtin_model()))
+    doc["k"], doc["tiers"] = k, tiers
+    doc["clusters"] = [{"index": c, "tiers": []} for c in range(1, k + 1)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(rl.ValidationError):
+        rl.load_model(path.read_text())
+
+    def make_server(*args, **kwargs):
+        raise AssertionError("serve started on a degenerate model")
+
+    monkeypatch.setattr(service, "make_server", make_server)
+    for argv in (["recommend", "--model", str(path), str(test2_file), "--target-bitrate", "3"],
+                 ["serve", "--model", str(path), "--bind", "127.0.0.1:0"]):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: model set needs ")
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

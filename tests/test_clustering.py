@@ -17,7 +17,7 @@ from rdladder.errors import (
 )
 from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grouped_vectors, observation_batch, package_env
+from helpers import grid_measurements, grid_set, observation_batch, package_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,7 +29,7 @@ def measurements(gop_id, tier, pairs):
 
 def resampled(gop_id, tier, pairs, grid):
     """The one resampled PSNR vector of a single (gop, tier) group."""
-    return rl.resample_to_grid(measurements(gop_id, tier, pairs), grid)[tier].psnr[0].tolist()
+    return rl.resample_to_grid(measurements(gop_id, tier, pairs), grid)[0].tolist()
 
 
 def const_vectors(value, count, length=10):
@@ -52,21 +52,24 @@ class TestGrid:
             rl.BitrateGrid((1.0, 2.0, 2.0, 3.0))
 
 
-def test_tier_vectors_validation(t1080):
+def test_resampled_values_validation(t720, t1080):
+    # A MeasurementSet built by hand may hold any PSNR value; the first bad
+    # group, in group order, names the fault.
+    grid = rl.BitrateGrid((1.0, 2.0, 3.0, 4.0))
+    groups = [("g0", t1080), ("g1", t720)]
+    nan = float("nan")
     cases = [
-        (((30.0, 31.0), (30.0, float("nan"))), "gop 'g1': PSNR vector must be finite and non-empty"),
-        (((30.0, 31.0), (0.0, 30.0)), "gop 'g1': PSNR values must be in (0, 100] dB"),
-        (((30.0, 101.0), (30.0, 31.0)), "gop 'g0': PSNR values must be in (0, 100] dB"),
-        (((), ()), "gop 'g0': PSNR vector must be finite and non-empty"),
+        (((30, 31, 32, 33), (30, nan, 32, 33)), "gop 'g1': PSNR vector must be finite"),
+        (((30, 31, 32, 33), (0.0, 30, 32, 33)), "gop 'g1': PSNR values must be in (0, 100] dB"),
+        (((30, 101, 32, 33), (30, nan, 32, 33)), "gop 'g0': PSNR values must be in (0, 100] dB"),
     ]
     for rows, message in cases:
         with pytest.raises(ValidationError) as exc:
-            rl.TierVectors(t1080, ("g0", "g1"), np.array(rows))
+            rl.resample_to_grid(grid_set(groups, rows, grid), grid)
         assert str(exc.value) == message
-    with pytest.raises(ValidationError):
-        rl.TierVectors(t1080, ("g0",), np.full((2, 4), 30.0))
-    with pytest.raises(ValidationError, match="only one PSNR vector per tier"):
-        rl.TierVectors(t1080, ("g0", "g0"), np.full((2, 4), 30.0))
+    twice = grid_set([("g0", t1080)] * 5 + [("g1", t1080)], np.full((6, 4), 30.0), grid)
+    with pytest.raises(ValidationError, match="only one group per tier"):
+        train_details(twice, grid, k=1)
 
 
 class TestResample:
@@ -102,16 +105,16 @@ class TestResample:
         with pytest.raises(ConflictError):
             measurements("g", t720, [(1.0, 30.0), (1.0, 31.0), (3.0, 34.0)])
 
-    def test_rows_follow_first_appearance_per_tier(self, t720, t1080):
+    def test_rows_follow_group_order(self, t720, t1080):
         text = "\n".join([
             MEASUREMENT_HEADER,
             "b,720p,1.0,30.0", "a,1080p,1.0,31.0", "a,720p,3.0,33.0", "b,720p,3.0,34.0",
             "a,1080p,3.0,35.0", "a,720p,1.0,32.0",
         ])
-        by_tier = rl.resample_to_grid(rl.parse_measurements(text), rl.BitrateGrid((1, 1.5, 2, 3)))
-        assert by_tier[t720].gop_ids == ("b", "a")
-        assert by_tier[t720].psnr.tolist() == [[30.0, 31.0, 32.0, 34.0], [32.0, 32.25, 32.5, 33.0]]
-        assert by_tier[t1080].gop_ids == ("a",)
+        mset = rl.parse_measurements(text)
+        assert mset.groups == (("b", t720), ("a", t1080), ("a", t720))
+        assert rl.resample_to_grid(mset, rl.BitrateGrid((1, 1.5, 2, 3))).tolist() == [
+            [30.0, 31.0, 32.0, 34.0], [31.0, 32.0, 33.0, 35.0], [32.0, 32.25, 32.5, 33.0]]
 
 
 @st.composite
@@ -145,14 +148,15 @@ def resample_cases(draw):
 
 
 def interp_each(mset, grid):
-    """Reference resampling: np.interp once per group."""
-    by_tier: dict = {}
-    for g, (gop_id, tier) in enumerate(mset.groups):
-        ids, rows = by_tier.setdefault(tier, ([], []))
-        ids.append(gop_id)
-        rows.append(np.interp(grid.as_array(), *mset.rows(g)))
-    return {tier: rl.TierVectors(tier, tuple(ids), np.array(rows))
-            for tier, (ids, rows) in by_tier.items()}
+    """Reference resampling: np.interp once per group, then each row
+    checked in group order."""
+    rows = [np.interp(grid.as_array(), *mset.rows(g)) for g in range(len(mset.groups))]
+    for (gop_id, _), row in zip(mset.groups, rows):
+        if not np.isfinite(row).all():
+            raise ValidationError(f"gop {gop_id!r}: PSNR vector must be finite")
+        if not ((row > 0) & (row <= 100)).all():
+            raise ValidationError(f"gop {gop_id!r}: PSNR values must be in (0, 100] dB")
+    return np.array(rows)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -171,10 +175,8 @@ def test_resample_matches_per_group_interp(case):
     assert error == expected_error
     if error:
         return
-    assert list(vectors) == list(expected)
-    for tier, want in expected.items():
-        assert vectors[tier].gop_ids == want.gop_ids
-        assert vectors[tier].psnr.tobytes() == want.psnr.tobytes()
+    assert vectors.shape == expected.shape
+    assert vectors.tobytes() == expected.tobytes()
 
 
 class TestKMeans:
@@ -243,8 +245,8 @@ class TestKMeans:
         clusters = [c for c in range(1, 7) for _ in range(10)]
         for seed in (0, 1, 2):
             rng = np.random.default_rng(1000 + seed)
-            by_tier = grouped_vectors(clusters, [t1080], grid, paper_model, noise=0.1, rng=rng)
-            result = rl.kmeans(by_tier[t1080].psnr, k=6, seed=seed)
+            mset = grid_measurements(clusters, [t1080], grid, paper_model, noise=0.1, rng=rng)
+            result = rl.kmeans(rl.resample_to_grid(mset, grid), k=6, seed=seed)
             mapping = {}
             for want, got in zip(clusters, result.labels):
                 mapping.setdefault(want, set()).add(got)
@@ -255,8 +257,8 @@ class TestKMeans:
 class TestTrain:
     def test_single_tier_reproduces_generating_cubics(self, paper_model, t1080):
         grid = paper_model.grid
-        by_tier = grouped_vectors([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
-        trained, _ = train_details(by_tier, grid, k=6, seed=42)
+        mset = grid_measurements([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
+        trained, _ = train_details(mset, grid, k=6, seed=42)
         for c in range(1, 7):
             got = trained.model(c, t1080).coefficients
             want = paper_model.model(c, t1080).coefficients
@@ -264,9 +266,10 @@ class TestTrain:
 
     def test_two_identical_tiers_match_identically(self, paper_model, t720, t1080):
         grid = paper_model.grid
-        base = grouped_vectors([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
-        clone = rl.TierVectors(t720, base[t1080].gop_ids, base[t1080].psnr)
-        trained, _ = train_details({t1080: base[t1080], t720: clone}, grid, k=6, seed=42)
+        base = grid_measurements([1, 2, 3, 4, 5, 6], [t1080], grid, paper_model)
+        clone = [(gop_id, t720) for gop_id, _ in base.groups]
+        mset = grid_set(base.groups + tuple(clone), np.concatenate([base.psnr, base.psnr]), grid)
+        trained, _ = train_details(mset, grid, k=6, seed=42)
         for c in range(1, 7):
             assert trained.model(c, t720).coefficients == trained.model(c, t1080).coefficients
             assert trained.centroid(c, t720) == trained.centroid(c, t1080)
@@ -278,8 +281,8 @@ class TestTrain:
         grid = paper_model.grid
         clusters = [c for c in range(1, 7) for _ in range(10)]
         rng = np.random.default_rng(77)
-        by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
-        trained, _ = train_details(by_tier, grid, k=6, seed=42)
+        mset = grid_measurements(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
+        trained, _ = train_details(mset, grid, k=6, seed=42)
         for c in range(1, 7):
             for tier in paper_model.tiers:
                 want = np.mean(paper_model.centroid(c, tier))
@@ -288,8 +291,8 @@ class TestTrain:
 
     def test_train_details_reports_one_kmeans(self, paper_model):
         grid = paper_model.grid
-        by_tier = grouped_vectors([1, 2, 3, 4, 5, 6], paper_model.tiers, grid, paper_model)
-        _, result = train_details(by_tier, grid, k=6, seed=42)
+        mset = grid_measurements([1, 2, 3, 4, 5, 6], paper_model.tiers, grid, paper_model)
+        _, result = train_details(mset, grid, k=6, seed=42)
         assert isinstance(result, rl.KMeansResult)
         assert len(result.labels) == 6
         assert result.centroids.shape == (6, len(paper_model.tiers) * len(grid))
@@ -299,18 +302,15 @@ class TestTrain:
         grid = paper_model.grid
         clusters = [c for c in range(1, 7) for _ in range(5)]
         rng = np.random.default_rng(5)
-        by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.1, rng)
+        mset = grid_measurements(clusters, paper_model.tiers, grid, paper_model, 0.1, rng)
 
         def with_extra(ids_at):
-            """by_tier plus GOPs far from every centroid, ids_at(tier) of them."""
-            out = {}
-            for tier, v in by_tier.items():
-                ids = ids_at(tier)
-                far = np.full((len(ids), len(grid)), 20.0)
-                out[tier] = rl.TierVectors(tier, v.gop_ids + ids, np.vstack([v.psnr, far]))
-            return out
+            """mset plus GOPs far from every centroid, ids_at(tier) of them."""
+            extra = tuple((gop_id, tier) for tier in paper_model.tiers for gop_id in ids_at(tier))
+            far = np.full(len(extra) * len(grid), 20.0)
+            return grid_set(mset.groups + extra, np.concatenate([mset.psnr, far]), grid)
 
-        trained, _ = train_details(by_tier, grid, k=6, seed=42)
+        trained, _ = train_details(mset, grid, k=6, seed=42)
         # x1 lacks 360p and x2 has 1080p only: both are left out.
         partial = {t360: (), t1080: ("x1", "x2")}
         more, result = train_details(with_extra(lambda t: partial.get(t, ("x1",))), grid, k=6, seed=42)
@@ -322,16 +322,18 @@ class TestTrain:
 
     def test_fewer_than_k_complete_gops(self, paper_model, t720, t1080):
         grid = paper_model.grid
-        full = grouped_vectors(list(range(1, 7)) * 2, [t720, t1080], grid, paper_model)
-        part = rl.TierVectors(t720, full[t720].gop_ids[:4], full[t720].psnr[:4])
+        full = grid_measurements(list(range(1, 7)) * 2, [t720, t1080], grid, paper_model)
+        # Every GOP at 1080p, the first 4 at 720p too.
+        keep = [g for g, (_, tier) in enumerate(full.groups) if tier == t1080 or g < 4]
+        part = grid_set([full.groups[g] for g in keep], full.psnr.reshape(-1, len(grid))[keep], grid)
         with pytest.raises(InsufficientDataError, match="4 of 12 GOPs"):
-            train_details({t720: part, t1080: full[t1080]}, grid, k=6, seed=42)
+            train_details(part, grid, k=6, seed=42)
 
     def test_insufficient_vectors_per_tier(self, paper_model, t1080):
         grid = paper_model.grid
-        by_tier = grouped_vectors([1, 2, 3], [t1080], grid, paper_model)
+        mset = grid_measurements([1, 2, 3], [t1080], grid, paper_model)
         with pytest.raises(InsufficientDataError):
-            train_details(by_tier, grid, k=6, seed=42)
+            train_details(mset, grid, k=6, seed=42)
 
 
 def assign_one(tables, points, tier):
@@ -447,7 +449,7 @@ def recovery_csv():
 
 def train_text(text):
     grid = rl.BitrateGrid.default()
-    trained, _ = train_details(rl.resample_to_grid(rl.parse_measurements(text), grid), grid)
+    trained, _ = train_details(rl.parse_measurements(text), grid)
     return trained
 
 

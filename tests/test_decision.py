@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
+from rdladder.decision import MAX_TARGET_BITRATE
 from rdladder.errors import IdenticalCurvesError, ValidationError
 
 from helpers import bisection_roots, observation_batch, random_cubics, scalar_advise
@@ -331,6 +332,15 @@ class TestRecommend:
         for bad_target in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target bitrate must be finite and > 0"):
                 tables.advise(batch, bad_target, rl.Modes(vl=True))
+
+    def test_target_above_bound(self, paper_model, tables):
+        batch = observation_batch([on_curve_observation(paper_model, 6, T1080)])
+        above = float(np.nextafter(MAX_TARGET_BITRATE, np.inf))
+        with pytest.raises(ValidationError, match=r"target bitrate must be at most 1e\+06 Mbps"):
+            tables.advise(batch, above, rl.Modes(vl=True))
+        with pytest.raises(ValidationError, match=r"target bitrate must be at most 1e\+06 Mbps"):
+            tables.decide(6, T1080, above, rl.Modes(vl=True))
+        assert tables.decide(6, T1080, MAX_TARGET_BITRATE, rl.Modes(vl=True))[1] < MAX_TARGET_BITRATE
 
     def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, tables):
         combos = [

@@ -18,7 +18,7 @@ from rdladder.errors import (
 )
 from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grouped_vectors, measurement_csv, reference_parse, reference_resample
+from helpers import grid_measurements, measurement_csv, reference_parse, reference_resample
 
 # Golden checksum of the built-in model's canonical serialization; it must
 # never drift across runs or refactors.
@@ -118,18 +118,6 @@ class TestParse:
         mset = rl.parse_measurements(text)
         assert len(mset) == 1
 
-    def test_parse_format_parse_idempotence(self, paper_model):
-        rng = np.random.default_rng(2)
-        text = measurement_csv(
-            [1, 4, 6], paper_model.tiers, paper_model.grid.bitrates,
-            paper_model, noise=0.2, rng=rng,
-        )
-        first = rl.parse_measurements(text)
-        second = rl.parse_measurements(rl.format_measurements(first))
-        assert first.groups == second.groups
-        for column in ("offsets", "bitrates", "psnr"):
-            assert np.array_equal(getattr(first, column), getattr(second, column))
-
     def test_grid_aligned_file_resamples_to_identity_and_assigns(self, paper_model, tables, t1080):
         model = paper_model.model(4, t1080)
         grid = paper_model.grid
@@ -137,9 +125,8 @@ class TestParse:
             f"g,1080p,{b:.17g},{rl.eval_cubic(model, b):.17g}" for b in grid.bitrates
         ]
         mset = rl.parse_measurements("\n".join(rows) + "\n")
-        vectors = rl.resample_to_grid(mset, grid)[t1080]
-        assert vectors.gop_ids == ("g",)
-        assert vectors.psnr[0].tolist() == pytest.approx(
+        assert mset.groups == (("g", t1080),)
+        assert rl.resample_to_grid(mset, grid)[0].tolist() == pytest.approx(
             [rl.eval_cubic(model, b) for b in grid.bitrates], abs=1e-12
         )
         batch = rl.ObservationBatch(gop_ids=["g"], tiers=[t1080], offsets=mset.offsets,
@@ -271,22 +258,16 @@ def assert_matches_reference(text: str):
     assert mset.offsets.tolist() == np.cumsum([0, *map(len, expected.values())]).tolist()
 
     def resample_each():
-        by_tier: dict = {}
-        for (gop_id, tier), group in expected.items():
-            ids, rows = by_tier.setdefault(tier, ([], []))
-            ids.append(gop_id)
-            rows.append(reference_resample(group, DIFF_GRID))
-        return by_tier
+        rows = [reference_resample(group, DIFF_GRID) for group in expected.values()]
+        return np.array(rows).reshape(len(rows), len(DIFF_GRID))
 
-    expected_vectors, expected_error = outcome(resample_each)
-    vectors, error = outcome(lambda: rl.resample_to_grid(mset, DIFF_GRID))
+    expected_values, expected_error = outcome(resample_each)
+    values, error = outcome(lambda: rl.resample_to_grid(mset, DIFF_GRID))
     assert error == expected_error
     if error:
         return
-    assert list(vectors) == list(expected_vectors)
-    for tier, (ids, rows) in expected_vectors.items():
-        assert vectors[tier].gop_ids == tuple(ids)
-        assert vectors[tier].psnr.tobytes() == np.array(rows).tobytes()
+    assert values.shape == expected_values.shape
+    assert values.tobytes() == expected_values.tobytes()
 
 
 class TestColumnarIngest:
@@ -347,8 +328,8 @@ class TestModelFile:
         rng = np.random.default_rng(31)
         grid = paper_model.grid
         clusters = [c for c in range(1, 7) for _ in range(6)]
-        by_tier = grouped_vectors(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
-        trained, _ = rl.train_details(by_tier, grid, k=6, seed=42)
+        mset = grid_measurements(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
+        trained, _ = rl.train_details(mset, grid, k=6, seed=42)
         loaded = rl.load_model(rl.save_model(trained))
         for cluster in trained.clusters:
             lt = rl.build_ladder(trained, cluster)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,7 +77,7 @@ def _float_path_models():
     coefficients): the float path must match the array path for both."""
     paper = rl.builtin_model().model(3, rl.tier_from_name("720p"))
     rs = np.array([0.3, 1.1, 2.4, 3.9, 5.2, 6.0])
-    return paper, rl.fit_polynomial(list(zip(rs, rl.eval_cubic(paper, rs) + 0.01 * rs)), 3)
+    return paper, rl.fit_polynomial(list(zip(rs, rl.eval_cubic(paper, rs) + 0.01 * rs)))
 
 
 class TestFloatPath:
@@ -157,13 +155,13 @@ class TestDerivative:
 class TestFitPolynomial:
     def test_exact_interpolation_recovers_reference_row(self, paper_model, t1080):
         source = paper_model.model(6, t1080)
-        fit = rl.fit_polynomial(curve_points(source, [0.5, 2.0, 3.5, 5.0]), degree=3)
+        fit = rl.fit_polynomial(curve_points(source, [0.5, 2.0, 3.5, 5.0]))
         for got, want in zip(fit.coefficients, source.coefficients):
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_collinear_data_zeroes_high_coefficients(self):
         points = [(r, 2 * r + 1) for r in (0.5, 1.5, 3.0, 4.5, 6.0)]
-        fit = rl.fit_polynomial(points, degree=3)
+        fit = rl.fit_polynomial(points)
         assert fit.c0 == pytest.approx(1.0, abs=1e-9)
         assert fit.c1 == pytest.approx(2.0, abs=1e-9)
         assert abs(fit.c2) < 1e-9 and abs(fit.c3) < 1e-9
@@ -171,19 +169,17 @@ class TestFitPolynomial:
     def test_noiseless_grid_recovery(self):
         source = rl.CubicRD(25.0, 9.5, -2.25, 0.21, valid_range=(0.2, 6.0))
         points = curve_points(source, np.linspace(0.2, 6.0, 10))
-        fit = rl.fit_polynomial(points, degree=3)
+        fit = rl.fit_polynomial(points)
         for got, want in zip(fit.coefficients, source.coefficients):
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_valid_range_is_data_span(self):
-        fit = rl.fit_polynomial([(0.4, 30.0), (1.0, 33.0), (2.5, 35.0), (5.5, 36.0)], degree=2)
+        fit = rl.fit_polynomial([(0.4, 30.0), (1.0, 33.0), (2.5, 35.0), (5.5, 36.0)])
         assert fit.valid_range == (0.4, 5.5)
 
     def test_refit_idempotence(self):
-        fit = rl.fit_polynomial(
-            [(0.2, 28.0), (1.0, 33.5), (2.0, 36.0), (3.5, 38.1), (6.0, 40.2)], degree=3
-        )
-        refit = rl.fit_polynomial(curve_points(fit, np.linspace(0.2, 6.0, 8)), degree=3)
+        fit = rl.fit_polynomial([(0.2, 28.0), (1.0, 33.5), (2.0, 36.0), (3.5, 38.1), (6.0, 40.2)])
+        refit = rl.fit_polynomial(curve_points(fit, np.linspace(0.2, 6.0, 8)))
         for got, want in zip(refit.coefficients, fit.coefficients):
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -191,8 +187,8 @@ class TestFitPolynomial:
     @given(shift=st.floats(-100.0, 100.0))
     def test_shift_equivariance(self, shift):
         base = [(0.3, 29.0), (1.2, 33.0), (2.4, 35.5), (4.0, 37.0), (6.0, 38.0)]
-        plain = rl.fit_polynomial(base, degree=3)
-        shifted = rl.fit_polynomial([(r, q + shift) for r, q in base], degree=3)
+        plain = rl.fit_polynomial(base)
+        shifted = rl.fit_polynomial([(r, q + shift) for r, q in base])
         assert shifted.c0 - plain.c0 == pytest.approx(shift, abs=1e-9)
         for name in ("c1", "c2", "c3"):
             assert getattr(shifted, name) == pytest.approx(getattr(plain, name), abs=1e-9)
@@ -203,81 +199,18 @@ class TestFitPolynomial:
         for _ in range(10):
             qs = 30 + 4 * np.log1p(rng.uniform(0.5, 3) * rs) + rng.normal(0, 0.3, rs.size)
             points = list(zip(rs, qs))
-            mses = []
-            for degree in (1, 2, 3):
-                fit = rl.fit_polynomial(points, degree)
-                mses.append(float(np.mean((rl.eval_cubic(fit, rs) - qs) ** 2)))
+            # np.polyfit's lower-degree fits are the oracle for the cubic's.
+            fits = [np.polyval(np.polyfit(rs, qs, degree), rs) for degree in (1, 2)]
+            fits.append(rl.eval_cubic(rl.fit_polynomial(points), rs))
+            mses = [float(np.mean((fit - qs) ** 2)) for fit in fits]
             assert mses[2] <= mses[1] + 1e-12 and mses[1] <= mses[0] + 1e-12
 
     def test_errors(self):
-        with pytest.raises(ValidationError):
-            rl.fit_polynomial([(1.0, 30.0), (2.0, 31.0)], degree=4)
         with pytest.raises(InsufficientDataError):
-            rl.fit_polynomial([(1.0, 30.0), (1.0, 30.0), (2.0, 31.0)], degree=3)
+            rl.fit_polynomial([(1.0, 30.0), (1.0, 30.0), (2.0, 31.0)])
         with pytest.raises(ConditioningError) as exc:
-            rl.fit_polynomial([(1.0, 30.0), (1.0 + 2e-13, 30.0), (2.0, 31.0), (3.0, 32.0)], 3)
+            rl.fit_polynomial([(1.0, 30.0), (1.0 + 2e-13, 30.0), (2.0, 31.0), (3.0, 32.0)])
         assert exc.value.condition is not None and exc.value.condition > 1e12
-
-
-class TestFitLog:
-    def test_exact_recovery(self):
-        points = [(r, 5.0 * math.log(2.0 * r)) for r in (0.3, 0.9, 1.8, 3.2, 5.5)]
-        fit = rl.fit_log(points)
-        assert fit.a == pytest.approx(5.0, abs=1e-8)
-        assert fit.b == pytest.approx(2.0, abs=1e-8)
-
-    def test_constant_data_degenerates_cleanly(self):
-        points = [(r, 30.0) for r in (0.5, 1.0, 2.0, 4.0)]
-        fit = rl.fit_log(points)
-        assert abs(fit.a) < 1e-12
-        assert fit.b == 1.0
-        assert all(fit.predict(r) == pytest.approx(30.0, abs=1e-9) for r, _ in points)
-
-    def test_domain_error(self):
-        with pytest.raises(ValidationError):
-            rl.fit_log([(0.0, 30.0), (1.0, 31.0)])
-        with pytest.raises(ValidationError):
-            rl.fit_log([(-1.0, 30.0), (1.0, 31.0)])
-
-    def test_log_loses_to_cubic_on_cubic_data(self, paper_model, t1080):
-        points = curve_points(paper_model.model(5, t1080), np.linspace(0.2, 6.0, 10))
-        report = rl.compare_fits(points)
-        assert report.mse["log"] > report.mse["poly3"]
-
-
-class TestCompareFits:
-    def test_cubic_data_chooses_poly3(self, paper_model, t1080):
-        points = curve_points(paper_model.model(2, t1080), np.linspace(0.2, 6.0, 10))
-        report = rl.compare_fits(points)
-        assert report.chosen == "poly3"
-        assert report.mse["poly3"] < 1e-12
-
-    def test_linear_data_tie_breaks_to_linear(self):
-        points = [(r, 3 * r + 20) for r in np.linspace(0.2, 6.0, 8)]
-        report = rl.compare_fits(points)
-        assert report.chosen == "linear"
-
-    def test_nested_mse_ordering_on_random_data(self):
-        rng = np.random.default_rng(3)
-        rs = np.linspace(0.2, 6.0, 10)
-        for _ in range(20):
-            qs = 25 + 5 * np.log1p(rng.uniform(0.5, 4) * rs) + rng.normal(0, 0.2, rs.size)
-            report = rl.compare_fits(list(zip(rs, qs)))
-            assert report.mse["poly3"] <= report.mse["poly2"] + 1e-12
-            assert report.mse["poly2"] <= report.mse["linear"] + 1e-12
-
-    def test_failed_family_reported_absent(self):
-        # With four points, two of them near-duplicates, the cubic fit's
-        # conditioning collapses while the simpler families still fit.
-        points = [(1.0, 30.0), (1.0 + 2e-13, 30.0), (2.0, 33.0), (3.0, 35.0)]
-        report = rl.compare_fits(points)
-        assert "poly3" not in report.mse
-        assert "poly3" in report.failures
-        assert "linear" in report.mse and "log" in report.mse
-
-    def test_requires_four_distinct_bitrates(self):
-        with pytest.raises(InsufficientDataError):
-            rl.compare_fits([(1.0, 30.0), (2.0, 31.0), (3.0, 32.0)])
 
 
 def test_cubicrd_invariants():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
 from rdladder import service
+from rdladder.decision import MAX_TARGET_BITRATE
 from rdladder.service import (
     MAX_BODY_BYTES,
     WORKERS,
@@ -106,6 +107,21 @@ class TestHandleRequest:
         assert handle_recommend_request(payload, tables) == (
             400, {"error": "target_bitrate must be finite and > 0"}
         )
+
+    def test_target_bound(self, paper_model, tables):
+        # Up to the bound, every number of the answer is finite; above it,
+        # where a cubic or the totals overflow, the target is answered 400.
+        for modes in (["nzs"], ["vl"], ["trans_size", "vl", "nzs"]):
+            payload = request_payload(paper_model, clusters=(6, 1), target=MAX_TARGET_BITRATE,
+                                      modes=modes)
+            status, body = handle_recommend_request(payload, tables)
+            assert status == 200
+            json.loads(json.dumps(body), parse_constant=pytest.fail)
+            for target in (float(np.nextafter(MAX_TARGET_BITRATE, np.inf)), 1e120, 1e308):
+                payload["target_bitrate"] = target
+                assert handle_recommend_request(payload, tables) == (
+                    400, {"error": "target_bitrate must be at most 1e+06 Mbps"}
+                )
 
     @pytest.mark.parametrize("target", [True, False, "3.0", "three", None, [3.0]])
     def test_target_must_be_a_json_number(self, paper_model, tables, target):

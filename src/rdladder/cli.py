@@ -137,7 +137,11 @@ def cmd_recommend(args) -> int:
     report = advice["savings"]
 
     if args.format == "json":
-        print(json.dumps(advice, indent=2))
+        # The bytes the service answers with; imported here, as in
+        # cmd_serve, so that the other commands do not load the service.
+        from .service import encode_body
+
+        print(encode_body(advice).decode())
     elif args.format == "csv":
         print("gop_id,cluster,tier,target_bitrate_mbps,proposed_bitrate_mbps,predicted_psnr_db,modes_applied")
         for rec in advice["recommendations"]:

@@ -236,12 +236,15 @@ class ClusterModelSet:
             raise ValidationError(f"model set needs k >= 1, got {self.k}")
         if not self.tiers:
             raise ValidationError("model set needs at least one tier")
+        if len(set(self.tiers)) != len(self.tiers):
+            repeated = next(t for i, t in enumerate(self.tiers) if t in self.tiers[:i])
+            raise ValidationError(f"model set lists tier {repeated} twice")
         expected = {(c, t) for c in self.clusters for t in self.tiers}
         if set(self.models) != expected or set(self.centroids) != expected:
             raise ValidationError("model set must hold exactly k x |tiers| entries")
-        for key, centroid in self.centroids.items():
+        for (cluster, tier), centroid in self.centroids.items():
             if len(centroid) != len(self.grid):
-                raise ValidationError(f"centroid {key} length does not match grid")
+                raise ValidationError(f"centroid for cluster {cluster} at {tier}: length does not match grid")
 
     @property
     def clusters(self) -> range:

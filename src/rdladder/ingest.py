@@ -308,6 +308,8 @@ def load_model(text: str) -> ClusterModelSet:
                 c0, c1, c2, c3 = (float(c) for c in _require(tier_doc, "coeffs", where))
                 lo, hi = (float(v) for v in _require(tier_doc, "valid_range", where))
                 centroid = tuple(float(v) for v in _require(tier_doc, "centroid", where))
+                if (index, tier) in models:
+                    raise ParseError(f"model file: {where} lists tier {tier} twice")
                 models[(index, tier)] = CubicRD(c0, c1, c2, c3, valid_range=(lo, hi))
                 centroids[(index, tier)] = centroid
         seed = int(_require(doc, "seed", "document"))

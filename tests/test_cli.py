@@ -287,6 +287,19 @@ class TestRecommend:
         assert rc == 1
         assert "boost" in capsys.readouterr().err
 
+    def test_json_is_the_service_encoding(self, training_file, paper_model, capsys):
+        # One line, byte for byte what the service answers for the same
+        # advice; only whitespace differs from json.dumps(advice, indent=2).
+        rc = cli.main(["recommend", "--paper-model", str(training_file),
+                       "--target-bitrate", "2.5", "--format", "json"])
+        out = capsys.readouterr().out
+        mset = rl.parse_measurements(training_file.read_text())
+        advice = rl.DecisionTables(paper_model, rl.DecisionConfig()).advise(
+            cli._observations(mset, paper_model), 2.5, rl.Modes(True, True, True))
+        assert rc == 0
+        assert out.encode() == service.encode_body(advice) + b"\n"
+        assert json.loads(out) == json.loads(json.dumps(advice, indent=2))
+
     def test_trained_model_file_as_source(self, tmp_path, training_file, test2_file, capsys):
         out = tmp_path / "m.json"
         assert cli.main(["train", str(training_file), "--out", str(out)]) == 0
@@ -410,15 +423,32 @@ def test_serve_port_out_of_range_exits_1(port, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("k, tiers", [(0, ["1080p"]), (1, [])], ids=["k0", "no-tiers"])
-def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys, k, tiers):
-    doc = json.loads(rl.save_model(rl.builtin_model()))
+def _no_clusters(doc, k, tiers):
     doc["k"], doc["tiers"] = k, tiers
     doc["clusters"] = [{"index": c, "tiers": []} for c in range(1, k + 1)]
+
+
+def _repeat_1080p_entry(doc):
+    # Cluster 1 lists 1080p again with another c0: no entry may silently win.
+    entries = doc["clusters"][0]["tiers"]
+    entries.append({**entries[-1], "coeffs": [20.749, *entries[-1]["coeffs"][1:]]})
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda doc: _no_clusters(doc, 0, ["1080p"]), rl.ValidationError, "model set needs k >= 1, got 0"),
+    (lambda doc: _no_clusters(doc, 1, []), rl.ValidationError, "model set needs at least one tier"),
+    (lambda doc: doc["tiers"].append("720p"), rl.ValidationError, "model set lists tier 720p twice"),
+    (_repeat_1080p_entry, rl.ParseError, "model file: cluster 1 lists tier 1080p twice"),
+], ids=["k0", "no-tiers", "repeated-tier", "repeated-entry"])
+def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys, edit, error,
+                                       message):
+    doc = json.loads(rl.save_model(rl.builtin_model()))
+    edit(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(rl.ValidationError):
+    with pytest.raises(error) as exc:
         rl.load_model(path.read_text())
+    assert str(exc.value) == message
 
     def make_server(*args, **kwargs):
         raise AssertionError("serve started on a degenerate model")
@@ -429,7 +459,7 @@ def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
-        assert captured.err.startswith("error: model set needs ")
+        assert captured.err == f"error: {message}\n"
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

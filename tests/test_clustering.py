@@ -418,21 +418,30 @@ class TestAssign:
         assert rms[[0, 1, 3]].max() < 1e-9
 
 
-def test_model_set_must_be_complete(paper_model):
-    models = dict(paper_model.models)
-    centroids = dict(paper_model.centroids)
-    key = (1, paper_model.tiers[0])
-    del models[key]
-    with pytest.raises(ValidationError):
-        rl.ClusterModelSet(
+def test_model_set_must_be_complete(paper_model, t720):
+    def model_set(tiers=paper_model.tiers, models=paper_model.models,
+                  centroids=paper_model.centroids):
+        return rl.ClusterModelSet(
             k=paper_model.k,
             grid=paper_model.grid,
-            tiers=paper_model.tiers,
+            tiers=tiers,
             centroids=centroids,
             models=models,
             seed=0,
             provenance="broken",
         )
+
+    models = dict(paper_model.models)
+    del models[(1, paper_model.tiers[0])]
+    with pytest.raises(ValidationError, match="exactly k x "):
+        model_set(models=models)
+    with pytest.raises(ValidationError, match="^model set lists tier 720p twice$"):
+        model_set(tiers=(*paper_model.tiers, t720))
+    centroids = dict(paper_model.centroids)
+    centroids[(1, t720)] = centroids[(1, t720)][:-1]
+    with pytest.raises(ValidationError) as exc:
+        model_set(centroids=centroids)
+    assert str(exc.value) == "centroid for cluster 1 at 720p: length does not match grid"
 
 
 @pytest.fixture(scope="module")

@@ -487,6 +487,25 @@ class TestAdvise:
         assert got == want
         assert isinstance(got, str) == (not (math.isfinite(target) and target > 0))
 
+    def test_tiers_built_apart_answer_alike(self, paper_model, tables):
+        # Tiers are values: a batch of tiers equal to the model's, but not
+        # the model's own objects, gets the same answers.
+        rng = np.random.default_rng(20)
+        gops = []
+        for i, tier in enumerate(paper_model.tiers * 3):
+            model = paper_model.model(i % paper_model.k + 1, tier)
+            points = [(b, rl.eval_cubic(model, b) + rng.uniform(-0.2, 0.2)) for b in (0.5, 2.0, 4.5)]
+            gops.append((f"g{i}", tier, points))
+        fresh = [(gop_id, rl.ResolutionTier(*tier), points) for gop_id, tier, points in gops]
+        assert all(a[1] == b[1] and a[1] is not b[1] for a, b in zip(fresh, gops))
+        own, apart = observation_batch(gops), observation_batch(fresh)
+        clusters, rms, errors = tables.assign(apart)
+        want_clusters, want_rms, want_errors = tables.assign(own)
+        assert clusters.tolist() == want_clusters.tolist() and rms.tolist() == want_rms.tolist()
+        assert errors == want_errors == [None] * len(gops)
+        modes = rl.Modes(trans_size=True, vl=True, nzs=True)
+        assert tables.advise(apart, 2.5, modes) == tables.advise(own, 2.5, modes)
+
     def test_exact_residual_tie_goes_to_lower_cluster(self):
         base = rl.CubicRD(30.0, 4.0, -0.5, 0.03125, valid_range=(0.2, 6.0))
         # Cluster 2 = cluster 1 + (R - 1)(R - 3): the curves meet exactly at 1 and 3.

@@ -19,13 +19,22 @@ from helpers import central_difference, curve_points
 def test_tier_ordering_and_parse():
     t360, t540, t720, t1080 = (rl.tier_from_name(n) for n in ("360p", "540p", "720p", "1080p"))
     assert t360 < t540 < t720 < t1080
-    assert (t720.width, t720.height) == (1280, 720)
+    assert (t720.height, t720.name) == (720, "720p")
     assert max([t720, t360, t1080, t540]) is t1080
     custom = rl.tier_from_name("1440p")
-    assert (custom.width, custom.height) == (2560, 1440)
+    assert (custom.height, custom.name) == (1440, "1440p")
+    again = rl.tier_from_name("1440p")
+    assert again is not custom and again == custom and hash(again) == hash(custom)
     for name in ("4k", "1440p\n"):
         with pytest.raises(ValidationError):
             rl.tier_from_name(name)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.integers(100, 9999), min_size=2, max_size=8))
+def test_tiers_sort_by_height(heights):
+    tiers = [rl.tier_from_name(f"{height}p") for height in heights]
+    assert [tier.height for tier in sorted(tiers)] == sorted(heights)
 
 
 @pytest.mark.parametrize("name", ["0720p", "1\u0664\u0664\u0660p"])

@@ -9,14 +9,7 @@ turns them into per-GOP trans-sizing/trans-rating recommendations with
 quantified bitrate savings.
 """
 
-from .clustering import (
-    BitrateGrid,
-    ClusterModelSet,
-    KMeansResult,
-    kmeans,
-    resample_to_grid,
-    train_details,
-)
+from .clustering import BitrateGrid, ClusterModelSet, resample_to_grid, train_details
 from .decision import (
     OPERATING_RANGE,
     VL_SEARCH_RANGE,
@@ -24,37 +17,11 @@ from .decision import (
     DecisionTables,
     Modes,
     ObservationBatch,
-    ResolutionLadder,
-    build_ladder,
-    curve_intersections,
-    nzs_interval,
     savings_report,
-    vl_threshold,
 )
-from .errors import (
-    ConditioningError,
-    ConflictError,
-    CoverageError,
-    IdenticalCurvesError,
-    InsufficientDataError,
-    ParseError,
-    RDLadderError,
-    SchemaVersionError,
-    ValidationError,
-)
-from .ingest import (
-    MeasurementSet,
-    builtin_model,
-    load_model,
-    parse_measurements,
-    save_model,
-)
-from .rd_model import (
-    CubicRD,
-    eval_cubic,
-    eval_derivative,
-    fit_polynomial,
-)
-from .tiers import STANDARD_TIERS, ResolutionTier, tier_from_name
+from .errors import ParseError, RDLadderError, ValidationError
+from .ingest import MeasurementSet, builtin_model, load_model, parse_measurements, save_model
+from .rd_model import CubicRD, eval_cubic, eval_derivative, fit_polynomial
+from .tiers import ResolutionTier, tier_from_name
 
 __version__ = "0.1.0"

@@ -218,8 +218,8 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    # Imported here so that the other commands do not load signal or
-    # http.server.
+    # Imported here so that the other commands do not load signal or the
+    # service.
     import signal
 
     from .service import make_server

@@ -142,12 +142,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def kmeans(
-    vectors: np.ndarray,
-    k: int,
-    seed: int = 42,
-    init_centroids: np.ndarray | None = None,
-) -> KMeansResult:
+def kmeans(vectors: np.ndarray, k: int, seed: int = 42) -> KMeansResult:
     """Deterministic K-means over the rows of a PSNR matrix, such as
     ``train_details``' [GOPs, tiers x grid] matrix of each GOP's resampled
     tier vectors laid end to end.
@@ -156,8 +151,7 @@ def kmeans(
     Converges when the largest centroid displacement drops below
     ``KMEANS_DISPLACEMENT_TOL`` dB or after ``KMEANS_MAX_ITER`` iterations.
     A centroid that loses all members is re-seeded at the point farthest
-    from its currently assigned centroid. ``init_centroids`` overrides the
-    k-means++ seeding (useful for reproducing specific runs).
+    from its currently assigned centroid.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -169,13 +163,7 @@ def kmeans(
     if len(x) < k:
         raise InsufficientDataError(f"k-means needs at least k={k} vectors, got {len(x)}")
 
-    rng = np.random.default_rng(seed)
-    if init_centroids is not None:
-        centers = np.array(init_centroids, dtype=float, copy=True)
-        if centers.shape != (k, x.shape[1]):
-            raise ValidationError(f"init_centroids must have shape ({k}, {x.shape[1]})")
-    else:
-        centers = _kmeanspp_init(x, k, rng)
+    centers = _kmeanspp_init(x, k, np.random.default_rng(seed))
 
     history: list[float] = []
     labels = np.zeros(len(x), dtype=int)

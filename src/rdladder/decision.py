@@ -2,15 +2,19 @@
 per-cluster resolution ladders, visually-lossless bitrate thresholds,
 near-zero-slope intervals, per-GOP recommendations and savings totals.
 
-``DecisionTables`` derives every table of a (model, config) pair once and
-answers batches of GOPs from them; the CLI, the service, ``verify-paper``
-and the scripts all decide through it.
+``DecisionTables`` is the only place these tables are built. It stacks
+every polynomial of a (model, config) pair, each tier-pair difference of
+each cluster and each curve minus the visually-lossless target, solves
+them all in one ``_real_roots`` call, and derives every table from those
+roots. It then answers batches of GOPs from the tables; the CLI, the
+service, ``verify-paper`` and the scripts all decide through it.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -19,8 +23,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .clustering import ClusterModelSet, nearest_clusters
-from .errors import IdenticalCurvesError, ValidationError
-from .rd_model import CubicRD, eval_cubic, eval_derivative
+from .errors import ValidationError
+from .rd_model import eval_cubic
 from .tiers import ResolutionTier
 
 # Quality ties below this (dB) are invisible; argmax resolves to the higher tier.
@@ -62,66 +66,84 @@ class DecisionConfig:
             raise ValidationError("nzs_slope must be finite and > 0")
 
 
-def _polish_root(coeffs_desc: np.ndarray, r: float, iters: int = 6) -> float:
-    """A few Newton steps against the exact polynomial; keeps the companion
-    matrix roots honest down at root-finding tolerance."""
-    deriv = np.polyder(coeffs_desc)
-    best, best_val = r, abs(float(np.polyval(coeffs_desc, r)))
-    for _ in range(iters):
-        df = float(np.polyval(deriv, r))
-        if df == 0.0 or not math.isfinite(df):
-            break
-        step = float(np.polyval(coeffs_desc, r)) / df
-        if not math.isfinite(step):
-            break
-        r -= step
-        val = abs(float(np.polyval(coeffs_desc, r)))
-        if val < best_val:
-            best, best_val = r, val
-        if abs(step) <= 1e-15 * max(1.0, abs(r)):
-            break
-    return best
+def _horner(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``p`` (descending coefficients) at its ``x``, with
+    ``np.polyval``'s arithmetic; leading zero columns change nothing."""
+    y = np.zeros_like(x)
+    for column in p.T:
+        y = y * x + column
+    return y
 
 
-def _real_roots(coeffs_desc: Sequence[float]) -> list[float]:
-    """All real roots of a polynomial given in descending-coefficient order,
-    Newton-polished, ascending. Near-real companion eigenvalues (double
-    roots surface as conjugate pairs with tiny imaginary parts) count as
-    real."""
-    p = np.asarray(coeffs_desc, dtype=float)
-    scale = np.max(np.abs(p)) if p.size else 0.0
-    if scale == 0.0:
-        return []
-    keep = np.abs(p) > 1e-13 * scale
-    first = int(np.argmax(keep)) if keep.any() else p.size
-    p = p[first:]
-    if p.size <= 1:
-        return []
-    roots = np.roots(p)
-    out = []
-    for z in roots:
-        if abs(z.imag) <= 1e-6 * max(1.0, abs(z.real)):
-            out.append(_polish_root(p, float(z.real)))
-    return sorted(out)
+def _real_roots(polys: np.ndarray) -> np.ndarray:
+    """The real roots of each row of an [n, 4] array of cubics in
+    descending-coefficient order: [n, 3], each row ascending, padded with
+    NaN.
+
+    Per row it does what ``np.roots`` and a few Newton steps would:
+    coefficients at or below 1e-13 of the row's largest are dropped from
+    the front, exact trailing zeros are stripped and each adds a root at 0,
+    and the rest is solved as the eigenvalues of its companion matrix, one
+    ``np.linalg.eigvals`` per degree. Near-real eigenvalues (double roots
+    surface as conjugate pairs with tiny imaginary parts) count as real.
+    Each real root is then polished against the polynomial with its front
+    dropped but its trailing zeros kept, keeping the iterate of least
+    residual."""
+    size = np.abs(polys)
+    kept = size > 1e-13 * size.max(axis=1, keepdims=True)
+    first = np.where(kept.any(axis=1), kept.argmax(axis=1), 4)
+    trimmed = np.where(np.arange(4) >= first[:, None], polys, 0.0)
+    last = 3 - (trimmed != 0)[:, ::-1].argmax(axis=1)  # a row of zeros gets 3
+    degree = np.maximum(last - first, 0)
+    zeros = 3 - last
+
+    slot = np.arange(3)  # NaN marks a slot without a root, and fails every test below
+    z = np.where((slot >= degree[:, None]) & (slot < (degree + zeros)[:, None]), 0j, np.nan)
+    for d in (1, 2, 3):
+        rows = np.flatnonzero(degree == d)
+        if rows.size:
+            q = trimmed[rows[:, None], first[rows, None] + np.arange(d + 1)]
+            companion = np.zeros((rows.size, d, d))
+            companion[:, 1:, :-1] = np.eye(d - 1)
+            companion[:, 0] = -q[:, 1:] / q[:, :1]
+            z[rows, :d] = np.linalg.eigvals(companion)
+
+    real = np.abs(z.imag) <= 1e-6 * np.maximum(1.0, np.abs(z.real))
+    owner, slots = real.nonzero()
+    p = trimmed[owner]
+    dp = p[:, :3] * np.arange(3, 0, -1)
+    r = best = z.real[owner, slots]
+    f = _horner(p, r)
+    best_val = np.abs(f)
+    active = np.ones(len(r), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            df = _horner(dp, r)
+            step = f / df
+            active &= (df != 0.0) & np.isfinite(df) & np.isfinite(step)
+            if not active.any():
+                break
+            r = np.where(active, r - step, r)
+            f = _horner(p, r)
+            better = active & (np.abs(f) < best_val)
+            best = np.where(better, r, best)
+            best_val = np.where(better, np.abs(f), best_val)
+            active &= np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(r))
+
+    roots = np.full((len(polys), 3), np.nan)
+    roots[owner, slots] = best
+    roots.sort(axis=1)
+    return roots
 
 
-def curve_intersections(a: CubicRD, b: CubicRD) -> list[float]:
-    """Bitrates in ``OPERATING_RANGE`` where the curves cross: the real
-    roots of (a - b)(R) = 0, ascending, with roots closer than 1e-6 merged.
-    Touch points, where (a - b) keeps its sign, are left out: the quality
-    ordering does not flip there. Raises IdenticalCurvesError when the
-    curves coincide coefficient-wise (every bitrate 'intersects', which is
-    not an empty result)."""
+def _crossings(diff: np.ndarray, roots: np.ndarray) -> tuple[float, ...]:
+    """The roots of ``diff``, the difference of two curves, that lie in
+    ``OPERATING_RANGE`` and where the difference changes sign, ascending;
+    roots closer than 1e-6 are merged. Touch points are left out: the
+    quality ordering does not flip there."""
     lo, hi = OPERATING_RANGE
-    diff = np.asarray(
-        [a.c3 - b.c3, a.c2 - b.c2, a.c1 - b.c1, a.c0 - b.c0], dtype=float
-    )
-    if np.all(diff == 0.0):
-        raise IdenticalCurvesError("curves are coefficient-wise identical")
-
-    roots = [r for r in _real_roots(diff) if lo <= r <= hi]
     merged: list[float] = []
-    for r in roots:
+    for r in roots[(roots >= lo) & (roots <= hi)].tolist():
         if merged and abs(r - merged[-1]) <= 1e-6:
             merged[-1] = 0.5 * (merged[-1] + r)
         else:
@@ -137,7 +159,7 @@ def curve_intersections(a: CubicRD, b: CubicRD) -> list[float]:
         h = min(h, gap / 4.0)
         if float(np.polyval(diff, r - h)) * float(np.polyval(diff, r + h)) <= 0.0:
             out.append(r)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -169,87 +191,6 @@ class ResolutionLadder:
         return self.tiers[bisect.bisect_left(self.breakpoints, r)]
 
 
-def build_ladder(model_set: ClusterModelSet, cluster: int) -> ResolutionLadder:
-    """Partition the operating range at the cluster's pairwise curve
-    intersections and keep, per segment, the tier with the highest quality
-    at the segment midpoint (quality ties go to the higher tier).
-    Adjacent same-tier segments are merged."""
-    if cluster not in model_set.clusters:
-        raise ValidationError(f"unknown cluster index {cluster}")
-    lo, hi = OPERATING_RANGE
-    tiers = model_set.tiers
-    curves = {t: model_set.model(cluster, t) for t in tiers}
-
-    cuts: list[float] = []
-    for i, t1 in enumerate(tiers):
-        for t2 in tiers[i + 1 :]:
-            try:
-                hits = curve_intersections(curves[t1], curves[t2])
-            except IdenticalCurvesError:
-                continue
-            cuts.extend(r for r in hits if lo < r < hi)
-
-    merged_cuts: list[float] = []
-    for r in sorted(cuts):
-        if merged_cuts and abs(r - merged_cuts[-1]) <= 1e-9:
-            continue
-        merged_cuts.append(r)
-
-    edges = [lo, *merged_cuts, hi]
-    segment_tiers = []
-    for seg_lo, seg_hi in zip(edges, edges[1:]):
-        mid = 0.5 * (seg_lo + seg_hi)
-        qualities = {t: eval_cubic(curves[t], mid) for t in tiers}
-        best_q = max(qualities.values())
-        segment_tiers.append(max(t for t, q in qualities.items() if q >= best_q - _TIER_TIE_TOL))
-    changes = [i for i in range(1, len(segment_tiers)) if segment_tiers[i] != segment_tiers[i - 1]]
-    return ResolutionLadder(
-        cluster=cluster,
-        breakpoints=tuple(edges[i] for i in changes),
-        tiers=(segment_tiers[0], *(segment_tiers[i] for i in changes)),
-    )
-
-
-def vl_threshold(model: CubicRD, cfg: DecisionConfig) -> Optional[float]:
-    """Smallest bitrate in the search range where the curve crosses
-    ``cfg.vl_psnr`` on a rising branch; None when the curve never gets
-    there. A curve already at/above the target at the range minimum clamps
-    to that minimum. A threshold ``r`` is extrapolated when
-    ``not model.covers(r)``."""
-    lo, hi = VL_SEARCH_RANGE
-    if eval_cubic(model, lo) >= cfg.vl_psnr:
-        return lo
-    candidates = [
-        r
-        for r in _real_roots([model.c3, model.c2, model.c1, model.c0 - cfg.vl_psnr])
-        if lo <= r <= hi and eval_derivative(model, r) > 0.0
-    ]
-    return min(candidates) if candidates else None
-
-
-def nzs_interval(model: CubicRD, cfg: DecisionConfig) -> Optional[tuple[float, float]]:
-    """Solve slope(R) = cfg.nzs_slope; when the slope dips below the
-    threshold between two real roots, return that interval as (lo, hi),
-    clamped to the operating range (None when the dip never happens or
-    clamping empties the interval)."""
-    a = 3.0 * model.c3
-    b = 2.0 * model.c2
-    c = model.c1 - cfg.nzs_slope
-    if a <= 0.0:
-        # The slope parabola must open upward for a bounded below-threshold
-        # dip between two roots.
-        return None
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return None
-    sqrt_disc = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sqrt_disc, b)) if b != 0.0 else 0.5 * sqrt_disc
-    r1, r2 = sorted((q / a, c / q)) if q != 0.0 else (-sqrt_disc / (2 * a), sqrt_disc / (2 * a))
-    op_lo, op_hi = OPERATING_RANGE
-    lo, hi = max(r1, op_lo), min(r2, op_hi)
-    return (lo, hi) if lo < hi else None
-
-
 @dataclass(frozen=True)
 class Modes:
     """Which decision stages run: trans-sizing, visually-lossless capping,
@@ -272,10 +213,6 @@ class Modes:
     @property
     def any_enabled(self) -> bool:
         return self.trans_size or self.vl or self.nzs
-
-    @property
-    def enabled(self) -> tuple[str, ...]:
-        return tuple(n for n in self._NAMES if getattr(self, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,16 +269,34 @@ def savings_report(pairs: Sequence[tuple[float, float]]) -> dict:
 @dataclass(frozen=True, eq=False)
 class DecisionTables:
     """Everything a decision needs that depends only on the model and the
-    config, built once when constructed: the ladder of every cluster, the
-    visually-lossless threshold and near-zero-slope interval of every
-    (cluster, tier), and the cubics stacked as
-    ``coeffs[tier_index, cluster - 1] = (c0, c1, c2, c3)`` with tiers in
-    ``model_set.tiers`` order, ``tier_index`` mapping each tier to its
-    row. Immutable, so one instance can serve concurrent requests.
+    config, built once when constructed, in one pass over all curves:
+
+    - ``knees[(cluster, lower_tier, higher_tier)]``: the bitrates in
+      ``OPERATING_RANGE`` where the two tiers' curves cross, ascending.
+      Touch points, where one curve meets the other without crossing it,
+      are left out, and identical curves have none.
+    - ``ladders[cluster]``: the operating range cut at the cluster's
+      knees, each segment taking the tier of highest quality at its
+      midpoint (ties within 1e-9 dB go to the higher tier), with adjacent
+      segments of one tier merged.
+    - ``vl[(cluster, tier)]``: the smallest bitrate in ``VL_SEARCH_RANGE``
+      where the curve reaches ``cfg.vl_psnr`` while rising, the range's
+      minimum when the curve already reaches it there, or None. A
+      threshold ``r`` is extrapolated when ``not model.covers(r)``.
+    - ``nzs[(cluster, tier)]``: the interval where the slope dips below
+      ``cfg.nzs_slope`` between the two roots of slope(R) = nzs_slope,
+      clamped to the operating range, or None.
+    - ``coeffs[tier_index, cluster - 1] = (c0, c1, c2, c3)``: the cubics,
+      tiers in ``model_set.tiers`` order, ``tier_index`` mapping each tier
+      to its row.
+
+    Immutable, so one instance can serve concurrent requests.
     """
 
     model_set: ClusterModelSet
     cfg: DecisionConfig
+    knees: Mapping[tuple[int, ResolutionTier, ResolutionTier], tuple[float, ...]] = field(
+        init=False, repr=False)
     ladders: Mapping[int, ResolutionLadder] = field(init=False, repr=False)
     vl: Mapping[tuple[int, ResolutionTier], Optional[float]] = field(init=False, repr=False)
     nzs: Mapping[tuple[int, ResolutionTier], Optional[tuple[float, float]]] = field(init=False, repr=False)
@@ -351,14 +306,79 @@ class DecisionTables:
     def __post_init__(self):
         model_set, cfg = self.model_set, self.cfg
         clusters, tiers = model_set.clusters, model_set.tiers
-        keys = [(c, t) for c in clusters for t in tiers]
         coeffs = np.array([[model_set.model(c, t).coefficients for c in clusters] for t in tiers])
         coeffs.flags.writeable = False
+        c0, c1, c2, c3 = np.moveaxis(coeffs, -1, 0)  # each [tier, cluster]
+
+        # One root solve for every polynomial: the difference of each pair
+        # of tiers, lower minus higher, then each curve minus vl_psnr.
+        by_height = sorted(range(len(tiers)), key=tiers.__getitem__)
+        pairs = list(itertools.combinations(by_height, 2))
+        lower, higher = np.array(pairs, dtype=int).reshape(-1, 2).T
+        descending = coeffs[..., ::-1]
+        diffs = descending[lower] - descending[higher]  # [pair, cluster, 4]
+        vl_polys = descending - np.array([0.0, 0.0, 0.0, cfg.vl_psnr])
+        roots = _real_roots(np.concatenate((diffs.reshape(-1, 4), vl_polys.reshape(-1, 4))))
+        knee_roots = roots[: diffs.size // 4].reshape(len(pairs), len(clusters), 3)
+        vl_roots = roots[diffs.size // 4 :].reshape(len(tiers), len(clusters), 3)
+
+        lo, hi = OPERATING_RANGE
+        knees, ladders = {}, {}
+        for ci, cluster in enumerate(clusters):
+            cuts: list[float] = []
+            for p, (a, b) in enumerate(pairs):
+                hits = _crossings(diffs[p, ci], knee_roots[p, ci])
+                knees[(cluster, tiers[a], tiers[b])] = hits
+                cuts += (r for r in hits if lo < r < hi)
+            merged: list[float] = []  # knees of several tier pairs may coincide
+            for r in sorted(cuts):
+                if not merged or abs(r - merged[-1]) > 1e-9:
+                    merged.append(r)
+            edges = np.array([lo, *merged, hi])
+            mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+            curves = (by_height, ci)  # the cluster's cubics, lowest tier first
+            quality = c0[curves] + mid * (c1[curves] + mid * (c2[curves] + mid * c3[curves]))
+            near_best = quality >= quality.max(axis=1, keepdims=True) - _TIER_TIE_TOL  # [segment, tier]
+            best = [tiers[by_height[-1 - i]] for i in near_best[:, ::-1].argmax(axis=1).tolist()]
+            changes = [i for i in range(1, len(best)) if best[i] != best[i - 1]]
+            ladders[cluster] = ResolutionLadder(
+                cluster=cluster,
+                breakpoints=tuple(edges[changes].tolist()),
+                tiers=(best[0], *(best[i] for i in changes)),
+            )
+
+        vl_lo, vl_hi = VL_SEARCH_RANGE
+        r = vl_roots
+        slope = c1[..., None] + r * (2.0 * c2[..., None] + r * (3.0 * c3[..., None]))
+        rising = (r >= vl_lo) & (r <= vl_hi) & (slope > 0.0)
+        first_rising = np.take_along_axis(r, rising.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        first_rising[~rising.any(axis=-1)] = np.nan
+        at_lo = c0 + vl_lo * (c1 + vl_lo * (c2 + vl_lo * c3))
+        thresholds = np.where(at_lo >= cfg.vl_psnr, vl_lo, first_rising)
+
+        # slope(R) - nzs_slope = qa R^2 + qb R + qc dips below 0 between two
+        # roots only when the parabola opens upward. The roots are taken in
+        # the form that avoids cancellation; q is never 0 when disc > 0.
+        qa, qb, qc = 3.0 * c3, 2.0 * c2, c1 - cfg.nzs_slope
+        disc = qb * qb - 4.0 * qa * qc
+        with np.errstate(all="ignore"):
+            sqrt_disc = np.sqrt(disc)
+            q = np.where(qb != 0.0, -0.5 * (qb + np.copysign(sqrt_disc, qb)), 0.5 * sqrt_disc)
+            r1, r2 = q / qa, qc / q
+        dip_lo, dip_hi = np.maximum(np.minimum(r1, r2), lo), np.minimum(np.maximum(r1, r2), hi)
+        dips = (qa > 0.0) & (disc > 0.0) & (dip_lo < dip_hi)
+
+        thresholds, dip_lo, dip_hi, dips = (x.tolist() for x in (thresholds, dip_lo, dip_hi, dips))
+        vl, nzs = {}, {}
+        for ci, cluster in enumerate(clusters):
+            for ti, tier in enumerate(tiers):
+                vl[(cluster, tier)] = None if math.isnan(thresholds[ti][ci]) else thresholds[ti][ci]
+                nzs[(cluster, tier)] = (dip_lo[ti][ci], dip_hi[ti][ci]) if dips[ti][ci] else None
         set_field = functools.partial(object.__setattr__, self)
-        ladders = {c: build_ladder(model_set, c) for c in clusters}
+        set_field("knees", MappingProxyType(knees))
         set_field("ladders", MappingProxyType(ladders))
-        set_field("vl", MappingProxyType({k: vl_threshold(model_set.model(*k), cfg) for k in keys}))
-        set_field("nzs", MappingProxyType({k: nzs_interval(model_set.model(*k), cfg) for k in keys}))
+        set_field("vl", MappingProxyType(vl))
+        set_field("nzs", MappingProxyType(nzs))
         set_field("coeffs", coeffs)
         set_field("tier_index", MappingProxyType({t: i for i, t in enumerate(tiers)}))
 

@@ -36,7 +36,3 @@ class ConditioningError(RDLadderError):
         super().__init__(message)
         self.condition = condition
 
-
-class IdenticalCurvesError(RDLadderError):
-    """Two curves are coefficient-wise identical; 'every point intersects'
-    is a different situation than 'no intersection in range'."""

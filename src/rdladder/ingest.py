@@ -44,11 +44,6 @@ class MeasurementSet:
     psnr: np.ndarray
     source: str = ""
 
-    def rows(self, group: int) -> tuple[np.ndarray, np.ndarray]:
-        """One group's bitrates and PSNR values, ascending by bitrate."""
-        lo, hi = self.offsets[group], self.offsets[group + 1]
-        return self.bitrates[lo:hi], self.psnr[lo:hi]
-
     def __len__(self) -> int:
         return len(self.bitrates)
 
@@ -287,6 +282,8 @@ def load_model(text: str) -> ClusterModelSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("model file: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("model file: top-level value must be an object")
     version = _require(doc, "schema_version", "document")

@@ -315,7 +315,7 @@ class _Exchange:
         del body[got:]  # a client that closed early sent less
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # RecursionError: arrays or objects nested too deeply
             return self._send(400, {"error": "request body must be valid JSON"})
         try:
             status, answer = handle_recommend_request(payload, self.tables)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decision import DecisionConfig, DecisionTables, Modes, curve_intersections, savings_report
+from .decision import DecisionConfig, DecisionTables, Modes, savings_report
 from .ingest import builtin_model
 from .tiers import tier_from_name
 
@@ -153,10 +153,7 @@ def verify_rows(cfg: DecisionConfig | None = None) -> list[VerifyRow]:
     rows: list[VerifyRow] = []
 
     for (cluster, lo_tier, hi_tier), expected in REFERENCE_KNEES.items():
-        hits = curve_intersections(
-            model.model(cluster, tier_from_name(lo_tier)),
-            model.model(cluster, tier_from_name(hi_tier)),
-        )
+        hits = tables.knees[(cluster, tier_from_name(lo_tier), tier_from_name(hi_tier))]
         name = f"cluster {cluster} {lo_tier}/{hi_tier} knee"
         if not hits:
             rows.append(VerifyRow("knee", name, "none", f"{expected:.3f}", FAIL))

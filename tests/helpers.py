@@ -65,6 +65,42 @@ def bisection_roots(coeffs_desc, lo: float, hi: float, step: float = 1e-4,
     return roots
 
 
+def scalar_real_roots(coeffs_desc) -> list[float]:
+    """Reference for the table build's root finder, one polynomial at a
+    time: ``np.roots`` after dropping leading coefficients at or below
+    1e-13 of the largest, then up to six Newton steps per real root
+    through ``np.polyval``, keeping the iterate of least residual."""
+    p = np.asarray(coeffs_desc, dtype=float)
+    scale = np.max(np.abs(p))
+    if scale == 0.0:
+        return []
+    p = p[int(np.argmax(np.abs(p) > 1e-13 * scale)):]
+    if p.size <= 1:
+        return []
+    deriv = np.polyder(p)
+    out = []
+    for z in np.roots(p):
+        if abs(z.imag) > 1e-6 * max(1.0, abs(z.real)):
+            continue
+        r = best = float(z.real)
+        best_val = abs(float(np.polyval(p, r)))
+        for _ in range(6):
+            df = float(np.polyval(deriv, r))
+            if df == 0.0 or not math.isfinite(df):
+                break
+            step = float(np.polyval(p, r)) / df
+            if not math.isfinite(step):
+                break
+            r -= step
+            val = abs(float(np.polyval(p, r)))
+            if val < best_val:
+                best, best_val = r, val
+            if abs(step) <= 1e-15 * max(1.0, abs(r)):
+                break
+        out.append(best)
+    return sorted(out)
+
+
 def central_difference(model: rl.CubicRD, r: float, h: float = 1e-5) -> float:
     return (rl.eval_cubic(model, r + h) - rl.eval_cubic(model, r - h)) / (2 * h)
 
@@ -246,6 +282,29 @@ def random_cubics(count: int, seed: int) -> list[rl.CubicRD]:
     return out
 
 
+def model_set_of(models, provenance="hand-built") -> rl.ClusterModelSet:
+    """A model set of the given {(cluster, tier): CubicRD} curves on the
+    default grid, with flat 40 dB centroids."""
+    grid = rl.BitrateGrid.default()
+    return rl.ClusterModelSet(
+        k=max(cluster for cluster, _ in models), grid=grid,
+        tiers=tuple(sorted({tier for _, tier in models})),
+        centroids={key: (40.0,) * len(grid) for key in models}, models=models, seed=0,
+        provenance=provenance,
+    )
+
+
+def pairwise_knees(pairs) -> list[tuple[float, ...]]:
+    """``DecisionTables.knees`` of each (a, b) curve pair: cluster i + 1 of
+    one model set has ``pairs[i]``'s a at 360p and its b at 720p."""
+    low, high = rl.tier_from_name("360p"), rl.tier_from_name("720p")
+    models = {}
+    for cluster, (a, b) in enumerate(pairs, start=1):
+        models[(cluster, low)], models[(cluster, high)] = a, b
+    knees = rl.DecisionTables(model_set_of(models), rl.DecisionConfig()).knees
+    return [knees[(cluster, low, high)] for cluster in range(1, len(pairs) + 1)]
+
+
 def observation_batch(gops, errors=None) -> rl.ObservationBatch:
     """A batch of (gop_id, tier, points) GOPs, points as given, with
     ``errors`` (default: none) as rejected before assignment."""
@@ -286,10 +345,11 @@ def scalar_assign(points, model_set, tier) -> tuple[int, float]:
     return best, distances[best]
 
 
-def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) -> dict:
-    """Reference decision pipeline for one GOP, deriving the one ladder,
-    threshold and interval it needs on the fly; returns the GOP's entry
-    of the advice document."""
+def scalar_recommend(gop_id, native, points, tables, modes, target_r) -> dict:
+    """Reference decision pipeline for one GOP, reading the one ladder,
+    threshold and interval it needs from ``tables``; returns the GOP's
+    entry of the advice document."""
+    model_set = tables.model_set
     cluster, distance = scalar_assign(points, model_set, native)
     notes = [f"cluster {cluster} (rms {distance:.3f} dB)"]
     applied = []
@@ -299,7 +359,7 @@ def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) ->
         lo, hi = rl.OPERATING_RANGE
         if not (lo <= target_r <= hi):
             notes.append(f"target outside operating range, tier chosen at {min(max(target_r, lo), hi):g}")
-        tier = rl.build_ladder(model_set, cluster).tier_at(target_r)
+        tier = tables.ladders[cluster].tier_at(target_r)
         if tier != native:
             applied.append("trans_size")
             notes.append(f"trans-size {native} -> {tier}")
@@ -307,12 +367,12 @@ def scalar_recommend(gop_id, native, points, model_set, cfg, modes, target_r) ->
             notes.append(f"keep {tier}")
 
     bitrate = target_r
-    threshold = rl.vl_threshold(model_set.model(cluster, tier), cfg)
+    threshold = tables.vl[(cluster, tier)]
     if modes.vl and threshold is not None and target_r > threshold:
         applied.append("vl")
         notes.append(f"visually-lossless cap {bitrate:g} -> {threshold:g}")
         bitrate = threshold
-    interval = rl.nzs_interval(model_set.model(cluster, tier), cfg)
+    interval = tables.nzs[(cluster, tier)]
     if modes.nzs and interval is not None and interval[0] < bitrate <= interval[1]:
         applied.append("nzs")
         notes.append(f"near-zero-slope reduction {bitrate:g} -> {interval[0]:g}")
@@ -343,6 +403,7 @@ def scalar_advise(batch, model_set, cfg, modes, target_r) -> dict:
         raise ValidationError("at least one mode must be enabled")
     if not (math.isfinite(target_r) and target_r > 0):
         raise ValidationError("target bitrate must be finite and > 0")
+    tables = rl.DecisionTables(model_set, cfg)
     entries = []
     for g, (gop_id, tier, error) in enumerate(zip(batch.gop_ids, batch.tiers, batch.errors)):
         lo, hi = batch.offsets[g], batch.offsets[g + 1]
@@ -350,7 +411,7 @@ def scalar_advise(batch, model_set, cfg, modes, target_r) -> dict:
         try:
             if error is not None:
                 raise ValidationError(error)
-            entries.append(scalar_recommend(gop_id, tier, points, model_set, cfg, modes, target_r))
+            entries.append(scalar_recommend(gop_id, tier, points, tables, modes, target_r))
         except RDLadderError as exc:
             entries.append({"gop_id": gop_id, "error": str(exc)})
     pairs = [(e["target_bitrate"], e["proposed_bitrate"]) for e in entries if "error" not in e]

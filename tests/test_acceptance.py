@@ -11,11 +11,14 @@ import rdladder as rl
 from rdladder import cli
 from rdladder.verify import DISCREPANCY, verify_rows
 
+from rdladder.clustering import kmeans
+
 from helpers import (
     bisection_roots,
     central_difference,
     grid_measurements,
     observation_batch,
+    pairwise_knees,
     random_cubics,
 )
 
@@ -41,27 +44,29 @@ def config():
     return rl.DecisionConfig()
 
 
-def test_criterion_1_knee_points(model, config):
+@pytest.fixture(scope="module")
+def tables(model, config):
+    return rl.DecisionTables(model, config)
+
+
+def test_criterion_1_knee_points(tables):
     expected = {1: 1.061, 2: 1.499, 3: 1.647}
     deltas = []
     ok = True
     for cluster, want in expected.items():
-        hits = rl.curve_intersections(
-            model.model(cluster, rl.tier_from_name("720p")),
-            model.model(cluster, T1080),
-        )
+        hits = tables.knees[(cluster, rl.tier_from_name("720p"), T1080)]
         got = hits[0] if hits else float("nan")
         deltas.append(f"c{cluster}: {got:.4f} vs {want}")
         ok = ok and len(hits) == 1 and abs(got - want) <= 0.01
     report(1, "720p/1080p knee points within 0.01 Mbps", ok, "; ".join(deltas))
 
 
-def test_criterion_2_visually_lossless_thresholds(model, config):
+def test_criterion_2_visually_lossless_thresholds(model, config, tables):
     expected = {1: 8.041, 2: 7.072, 3: 5.018, 4: 1.950, 5: 1.077, 6: 0.429}
     ok = True
     details = []
     for cluster, want in expected.items():
-        found = rl.vl_threshold(model.model(cluster, T1080), config)
+        found = tables.vl[(cluster, T1080)]
         if found is None:
             ok = False
             details.append(f"c{cluster}: none")
@@ -72,9 +77,9 @@ def test_criterion_2_visually_lossless_thresholds(model, config):
     report(2, "1080p visually-lossless thresholds within 0.01 Mbps", ok, "; ".join(details))
 
 
-def test_criterion_3_near_zero_slope_intervals(model, config):
-    five = rl.nzs_interval(model.model(5, T1080), config)
-    six = rl.nzs_interval(model.model(6, T1080), config)
+def test_criterion_3_near_zero_slope_intervals(tables):
+    five = tables.nzs[(5, T1080)]
+    six = tables.nzs[(6, T1080)]
     ok = (
         five is not None
         and abs(five[0] - 3.423) <= 0.02
@@ -82,7 +87,7 @@ def test_criterion_3_near_zero_slope_intervals(model, config):
         and six is not None
         and abs(six[0] - 3.293) <= 0.02
         and abs(six[1] - 4.575) <= 0.02
-        and all(rl.nzs_interval(model.model(c, T1080), config) is None for c in (1, 2, 3, 4))
+        and all(tables.nzs[(c, T1080)] is None for c in (1, 2, 3, 4))
     )
     detail = (
         f"c5 [{five[0]:.4f}, {five[1]:.4f}], c6 [{six[0]:.4f}, {six[1]:.4f}], c1-c4 absent"
@@ -160,9 +165,9 @@ def test_criterion_5_nzs_savings_reproduction(model, config):
     report(5, "near-zero-slope savings scenario totals and percentages", ok, "; ".join(details))
 
 
-def test_criterion_6_trans_sizing_decisions(model, config):
-    ladder3 = rl.build_ladder(model, 3)
-    ladder6 = rl.build_ladder(model, 6)
+def test_criterion_6_trans_sizing_decisions(tables):
+    ladder3 = tables.ladders[3]
+    ladder6 = tables.ladders[6]
     ok = (
         ladder3.tier_at(0.2).name == "360p"
         and ladder3.tier_at(1.0).name == "720p"
@@ -198,7 +203,7 @@ def test_criterion_8_clustering_recovery(model):
     for seed in range(10):
         rng = np.random.default_rng(5000 + seed)
         mset = grid_measurements(clusters, [T1080], model.grid, model, noise=0.1, rng=rng)
-        result = rl.kmeans(rl.resample_to_grid(mset, model.grid), k=6, seed=seed)
+        result = kmeans(rl.resample_to_grid(mset, model.grid), k=6, seed=seed)
         mapping: dict[int, set] = {}
         for want, got in zip(clusters, result.labels):
             mapping.setdefault(want, set()).add(got)
@@ -222,17 +227,14 @@ def test_criterion_9_property_suites(model, config, tmp_path):
             failures.append(f"derivative mismatch at {r:.4f}")
             break
 
-    # Root finder vs bisection oracle over 1000 random cubic pairs.
+    # Root finder vs bisection oracle over 1000 random cubic pairs, all
+    # solved in one table build.
     cubics = random_cubics(2000, seed=777)
+    pairs = list(zip(cubics[:1000], cubics[1000:]))
     checked = 0
-    for a, b in zip(cubics[:1000], cubics[1000:]):
-        try:
-            hits = rl.curve_intersections(a, b)
-        except rl.IdenticalCurvesError:
-            continue
+    for (a, b), solver in zip(pairs, pairwise_knees(pairs)):
         coeffs = [a.c3 - b.c3, a.c2 - b.c2, a.c1 - b.c1, a.c0 - b.c0]
         oracle = bisection_roots(coeffs, 0.2, 6.0)
-        solver = hits
         checked += 1
         if len(oracle) != len(solver) or any(
             abs(x - y) > 1e-6 for x, y in zip(sorted(solver), sorted(oracle))
@@ -242,8 +244,9 @@ def test_criterion_9_property_suites(model, config, tmp_path):
 
     # Ladder argmax invariance at 1000 random bitrates per cluster.
     rng = np.random.default_rng(41)
+    tables = rl.DecisionTables(model, config)
     for cluster in model.clusters:
-        ladder = rl.build_ladder(model, cluster)
+        ladder = tables.ladders[cluster]
         rs = rng.uniform(*rl.OPERATING_RANGE, size=1000)
         for r in rs:
             best = rl.eval_cubic(model.model(cluster, ladder.tier_at(float(r))), float(r))
@@ -256,7 +259,6 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     combos = [
         rl.Modes(*flags) for flags in itertools.product((False, True), repeat=3) if any(flags)
     ]
-    tables = rl.DecisionTables(model, config)
     sweep = np.linspace(0.25, 6.0, 100)
     gops = []
     for cluster in model.clusters:
@@ -268,7 +270,7 @@ def test_criterion_9_property_suites(model, config, tmp_path):
         for modes in combos:
             for rec in tables.advise(observations, float(target), modes)["recommendations"]:
                 if not (0 < rec["proposed_bitrate"] <= rec["target_bitrate"]):
-                    failures.append(f"unsafe proposal {rec['gop_id']}@{target:.3f} {modes.enabled}")
+                    failures.append(f"unsafe proposal {rec['gop_id']}@{target:.3f} {modes}")
 
     # Model file round-trip equality.
     text = rl.save_model(model)

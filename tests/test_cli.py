@@ -64,10 +64,10 @@ class TestTrain:
         out = tmp_path / "model.json"
         assert cli.main(["train", str(training_file), "--out", str(out)]) == 0
         capsys.readouterr()
-        trained = rl.load_model(out.read_text())
+        trained = rl.DecisionTables(rl.load_model(out.read_text()), cfg)
         for cluster in paper_model.clusters:
-            expected = rl.build_ladder(paper_model, cluster)
-            got = rl.build_ladder(trained, cluster)
+            expected = rl.DecisionTables(paper_model, cfg).ladders[cluster]
+            got = trained.ladders[cluster]
             assert got.tiers == expected.tiers
             assert got.breakpoints == pytest.approx(expected.breakpoints, abs=0.05)
 
@@ -434,18 +434,21 @@ def _repeat_1080p_entry(doc):
     entries.append({**entries[-1], "coeffs": [20.749, *entries[-1]["coeffs"][1:]]})
 
 
+# An edit returns None when it changed the document in place, or the
+# file's whole text.
 @pytest.mark.parametrize("edit, error, message", [
     (lambda doc: _no_clusters(doc, 0, ["1080p"]), rl.ValidationError, "model set needs k >= 1, got 0"),
     (lambda doc: _no_clusters(doc, 1, []), rl.ValidationError, "model set needs at least one tier"),
     (lambda doc: doc["tiers"].append("720p"), rl.ValidationError, "model set lists tier 720p twice"),
     (_repeat_1080p_entry, rl.ParseError, "model file: cluster 1 lists tier 1080p twice"),
-], ids=["k0", "no-tiers", "repeated-tier", "repeated-entry"])
+    (lambda doc: "[" * 100_000, rl.ParseError, "model file: JSON nested too deeply"),
+], ids=["k0", "no-tiers", "repeated-tier", "repeated-entry", "nested"])
 def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys, edit, error,
                                        message):
     doc = json.loads(rl.save_model(rl.builtin_model()))
-    edit(doc)
+    text = edit(doc)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc) if text is None else text)
     with pytest.raises(error) as exc:
         rl.load_model(path.read_text())
     assert str(exc.value) == message

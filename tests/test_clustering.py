@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.clustering import train_details
+from rdladder.clustering import KMeansResult, kmeans, train_details
 from rdladder.errors import (
     ConflictError,
     CoverageError,
@@ -150,7 +150,8 @@ def resample_cases(draw):
 def interp_each(mset, grid):
     """Reference resampling: np.interp once per group, then each row
     checked in group order."""
-    rows = [np.interp(grid.as_array(), *mset.rows(g)) for g in range(len(mset.groups))]
+    bounds = zip(mset.offsets[:-1], mset.offsets[1:])
+    rows = [np.interp(grid.as_array(), mset.bitrates[lo:hi], mset.psnr[lo:hi]) for lo, hi in bounds]
     for (gop_id, _), row in zip(mset.groups, rows):
         if not np.isfinite(row).all():
             raise ValidationError(f"gop {gop_id!r}: PSNR vector must be finite")
@@ -183,14 +184,14 @@ class TestKMeans:
     def test_k1_centroid_is_mean(self, t1080):
         rng = np.random.default_rng(5)
         vectors = rng.uniform(20, 50, (8, 10))
-        result = rl.kmeans(vectors, k=1, seed=0)
+        result = kmeans(vectors, k=1, seed=0)
         assert np.allclose(result.centroids[0], vectors.mean(axis=0), atol=1e-12)
 
     def test_separated_groups_recovered_exactly(self, t1080):
         vectors = np.concatenate(
             [const_vectors(10.0, 4), const_vectors(50.0, 4), const_vectors(90.0, 4)]
         )
-        result = rl.kmeans(vectors, k=3, seed=1)
+        result = kmeans(vectors, k=3, seed=1)
         assert result.inertia == 0.0
         labels = result.labels
         assert len({labels[0:4], labels[4:8], labels[8:12]}) == 3
@@ -200,8 +201,8 @@ class TestKMeans:
     def test_determinism(self, t1080):
         rng = np.random.default_rng(9)
         vectors = rng.uniform(20, 60, (30, 10))
-        a = rl.kmeans(vectors, k=4, seed=42)
-        b = rl.kmeans(vectors, k=4, seed=42)
+        a = kmeans(vectors, k=4, seed=42)
+        b = kmeans(vectors, k=4, seed=42)
         assert a.labels == b.labels
         assert np.array_equal(a.centroids, b.centroids)
 
@@ -209,34 +210,30 @@ class TestKMeans:
         rng = np.random.default_rng(17)
         vectors = rng.uniform(15, 60, (50, 10))
         for seed in range(5):
-            result = rl.kmeans(vectors, k=5, seed=seed)
+            result = kmeans(vectors, k=5, seed=seed)
             history = result.inertia_history
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_labels_are_nearest_centroids(self, t1080):
         rng = np.random.default_rng(23)
         vectors = rng.uniform(15, 60, (40, 10))
-        result = rl.kmeans(vectors, k=4, seed=3)
+        result = kmeans(vectors, k=4, seed=3)
         d2 = ((vectors[:, None, :] - result.centroids[None]) ** 2).sum(axis=2)
         assert np.array_equal(np.asarray(result.labels), d2.argmin(axis=1))
 
     def test_insufficient_vectors(self, t1080):
         with pytest.raises(InsufficientDataError):
-            rl.kmeans(const_vectors(30.0, 1), k=2, seed=0)
+            kmeans(const_vectors(30.0, 1), k=2, seed=0)
 
     def test_empty_cluster_reseeded_at_farthest_point(self, t1080):
-        # Force an empty cluster via an explicit init far from all data.
-        offsets = 0.01 * np.arange(5)[:, None]
-        vectors = np.concatenate([const_vectors(10.0, 5) + offsets, const_vectors(50.0, 5) + offsets])
-        init = np.stack(
-            [
-                np.full(10, 10.0),
-                np.full(10, 10.5),
-                np.full(10, 99.0),  # nobody will pick this one
-            ]
-        )
-        result = rl.kmeans(vectors, k=3, seed=0, init_centroids=init)
-        assert sorted(set(result.labels)) == [0, 1, 2]
+        # From seed 0, k-means++ seeds at 28, 3 and 6. After the first
+        # update (23, 3, 9) the centroid at 9 has no members, and it is
+        # re-seeded at 16, the point farthest from its assigned centroid.
+        values = [3.0, 5.0, 6.0, 16.0, 18.0, 28.0]
+        vectors = np.concatenate([const_vectors(v, 1) for v in values])
+        result = kmeans(vectors, k=3, seed=0)
+        assert result.labels == (1, 1, 1, 2, 2, 0)
+        assert result.centroids[:, 0].tolist() == pytest.approx([28.0, 14.0 / 3.0, 17.0])
         history = result.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
@@ -246,7 +243,7 @@ class TestKMeans:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(1000 + seed)
             mset = grid_measurements(clusters, [t1080], grid, paper_model, noise=0.1, rng=rng)
-            result = rl.kmeans(rl.resample_to_grid(mset, grid), k=6, seed=seed)
+            result = kmeans(rl.resample_to_grid(mset, grid), k=6, seed=seed)
             mapping = {}
             for want, got in zip(clusters, result.labels):
                 mapping.setdefault(want, set()).add(got)
@@ -293,7 +290,7 @@ class TestTrain:
         grid = paper_model.grid
         mset = grid_measurements([1, 2, 3, 4, 5, 6], paper_model.tiers, grid, paper_model)
         _, result = train_details(mset, grid, k=6, seed=42)
-        assert isinstance(result, rl.KMeansResult)
+        assert isinstance(result, KMeansResult)
         assert len(result.labels) == 6
         assert result.centroids.shape == (6, len(paper_model.tiers) * len(grid))
         assert result.inertia == pytest.approx(0.0, abs=1e-12)
@@ -464,13 +461,15 @@ def train_text(text):
 
 def test_training_recovers_generating_model(recovery_csv, paper_model):
     trained = train_text(recovery_csv)
+    trained_ladders = rl.DecisionTables(trained, rl.DecisionConfig()).ladders
+    paper_ladders = rl.DecisionTables(paper_model, rl.DecisionConfig()).ladders
     xs = np.linspace(*rl.OPERATING_RANGE, 501)
     for cluster in paper_model.clusters:
         for tier in paper_model.tiers:
             got = rl.eval_cubic(trained.model(cluster, tier), xs)
             want = rl.eval_cubic(paper_model.model(cluster, tier), xs)
             assert np.max(np.abs(got - want)) < 1.0, (cluster, tier)
-        assert rl.build_ladder(trained, cluster).tiers == rl.build_ladder(paper_model, cluster).tiers
+        assert trained_ladders[cluster].tiers == paper_ladders[cluster].tiers
 
 
 def test_model_does_not_depend_on_row_order(recovery_csv):

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.decision import MAX_TARGET_BITRATE
-from rdladder.errors import IdenticalCurvesError, ValidationError
+from rdladder.decision import MAX_TARGET_BITRATE, ResolutionLadder, _real_roots
+from rdladder.errors import ValidationError
+from rdladder.tiers import STANDARD_TIERS
 
-from helpers import bisection_roots, observation_batch, random_cubics, scalar_advise
+from helpers import (
+    bisection_roots,
+    model_set_of,
+    observation_batch,
+    pairwise_knees,
+    random_cubics,
+    scalar_advise,
+    scalar_real_roots,
+)
 
 T1080 = rl.tier_from_name("1080p")
 T720 = rl.tier_from_name("720p")
@@ -21,25 +30,71 @@ def diff_coeffs(a, b):
     return [a.c3 - b.c3, a.c2 - b.c2, a.c1 - b.c1, a.c0 - b.c0]
 
 
+def single_tier_tables(*curves, cfg=None):
+    """Tables of a model whose cluster i + 1 has ``curves[i]`` at 1080p."""
+    models = {(cluster, T1080): curve for cluster, curve in enumerate(curves, start=1)}
+    return rl.DecisionTables(model_set_of(models), cfg or rl.DecisionConfig())
+
+
+def edge_case_cubics(count, seed):
+    """Random cubics in descending-coefficient order, with zero and
+    near-zero leading coefficients, zero trailing ones, constants, zeros
+    and double roots mixed in."""
+    rng = np.random.default_rng(seed)
+    polys = rng.normal(0.0, 5.0, (count, 4))
+    for p in polys:
+        kind = rng.integers(8)
+        if kind == 0:
+            p[0] = 0.0
+        elif kind == 1:
+            p[0] = 1e-15 * rng.normal()
+        elif kind == 2:
+            p[3] = 0.0
+        elif kind == 3:
+            p[2:] = 0.0
+        elif kind == 4:
+            p[:3] = 0.0
+        elif kind == 5:
+            p[[0, 3]] = 0.0
+        elif kind == 6:
+            double, single = rng.uniform(0.0, 7.0, 2)
+            p[:] = rng.normal() * np.poly([double, double, single])
+    return np.vstack([polys, np.zeros(4), [5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+def test_batched_roots_equal_the_scalar_reference(paper_model):
+    # Bit for bit: the same eigenvalue problems and the same Newton
+    # arithmetic, one polynomial at a time in the reference.
+    curves = np.array([paper_model.model(*key).coefficients[::-1] for key in paper_model.models])
+    rng = np.random.default_rng(12)
+    a, b = rng.integers(len(curves), size=(2, 2000))
+    polys = np.vstack([(curves[a] - curves[b]) * (1 + rng.normal(0.0, 1e-3, (2000, 4))),
+                       edge_case_cubics(2000, seed=13)])
+    got = _real_roots(polys)
+    for p, row in zip(polys, got):
+        assert [r for r in row.tolist() if not math.isnan(r)] == scalar_real_roots(p)
+
+
 class TestIntersections:
     @pytest.mark.parametrize(
         "cluster,expected",
         [(1, 1.061), (2, 1.499), (3, 1.647)],
     )
-    def test_reference_knees(self, paper_model, cfg, cluster, expected):
+    def test_reference_knees(self, paper_model, tables, cluster, expected):
         a, b = paper_model.model(cluster, T720), paper_model.model(cluster, T1080)
-        hits = rl.curve_intersections(a, b)
+        hits = tables.knees[(cluster, T720, T1080)]
         assert len(hits) == 1
         assert hits[0] == pytest.approx(expected, abs=0.005)
         # A crossing: the quality ordering flips there.
         d = np.polyval(diff_coeffs(a, b), [hits[0] - 1e-3, hits[0] + 1e-3])
         assert d[0] * d[1] < 0
 
-    def test_matches_bisection_oracle_on_reference_pairs(self, paper_model):
+    def test_matches_bisection_oracle_on_reference_pairs(self, paper_model, tables):
+        assert len(tables.knees) == 6 * 6
         for cluster in paper_model.clusters:
             for ta, tb in itertools.combinations(paper_model.tiers, 2):
                 a, b = paper_model.model(cluster, ta), paper_model.model(cluster, tb)
-                got = rl.curve_intersections(a, b)
+                got = tables.knees[(cluster, ta, tb)]
                 oracle = bisection_roots(diff_coeffs(a, b), 0.2, 6.0)
                 assert len(got) == len(oracle)
                 for g, o in zip(got, oracle):
@@ -48,18 +103,22 @@ class TestIntersections:
     def test_parallel_curves_no_intersection(self):
         base = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
         lifted = rl.CubicRD(31.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
-        assert rl.curve_intersections(base, lifted) == []
+        assert pairwise_knees([(base, lifted)]) == [()]
 
     def test_identical_curves_signal(self):
+        # Every bitrate "intersects": no knee, and the ladder keeps the
+        # higher tier throughout.
         base = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
-        with pytest.raises(IdenticalCurvesError):
-            rl.curve_intersections(base, base)
+        assert pairwise_knees([(base, base)]) == [()]
+        tables = rl.DecisionTables(model_set_of({(1, T720): base, (1, T1080): base}),
+                                   rl.DecisionConfig())
+        assert tables.ladders[1].tiers == (T1080,)
 
     def test_touch_point_is_not_a_crossing(self):
         # a - b == (R - 2)^2: the curves touch at 2 without crossing.
         b = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
         a = rl.CubicRD(34.0, 1.0, 0.0, 0.1, valid_range=(0.2, 6.0))
-        assert rl.curve_intersections(a, b) == []
+        assert pairwise_knees([(a, b)]) == [()]
 
     def test_symmetry(self, paper_model):
         pairs = [
@@ -68,33 +127,48 @@ class TestIntersections:
         ]
         cubics = random_cubics(20, seed=100)
         pairs += list(zip(cubics[:10], cubics[10:]))
-        for a, b in pairs:
-            assert rl.curve_intersections(a, b) == rl.curve_intersections(b, a)
+        assert pairwise_knees(pairs) == pairwise_knees([(b, a) for a, b in pairs])
+
+    def test_keys_name_the_lower_tier_first(self, paper_model, tables):
+        # Tiers listed out of height order give the same keys and knees.
+        shuffled = rl.ClusterModelSet(
+            k=paper_model.k, grid=paper_model.grid, tiers=paper_model.tiers[::-1],
+            centroids=paper_model.centroids, models=paper_model.models, seed=0,
+            provenance="shuffled",
+        )
+        knees = rl.DecisionTables(shuffled, rl.DecisionConfig()).knees
+        assert dict(knees) == dict(tables.knees)
+        assert all(low < high for _, low, high in knees)
 
 
 class TestLadder:
-    def test_cluster6_single_segment(self, paper_model):
-        ladder = rl.build_ladder(paper_model, 6)
+    def test_cluster6_single_segment(self, tables):
+        ladder = tables.ladders[6]
         assert ladder.tiers == (T1080,)
         assert ladder.breakpoints == ()
 
-    def test_cluster2_720_then_1080(self, paper_model):
-        ladder = rl.build_ladder(paper_model, 2)
+    def test_cluster2_720_then_1080(self, tables):
+        ladder = tables.ladders[2]
         assert ladder.tiers == (T720, T1080)
         assert ladder.breakpoints[0] == pytest.approx(1.499, abs=0.005)
 
-    def test_cluster3_ends_with_720_then_1080(self, paper_model):
-        ladder = rl.build_ladder(paper_model, 3)
+    def test_cluster3_ends_with_720_then_1080(self, tables):
+        ladder = tables.ladders[3]
         tiers = ladder.tiers
         assert tiers[-2:] == (T720, T1080)
         assert ladder.breakpoints[-1] == pytest.approx(1.647, abs=0.005)
         assert tiers[0] == T360
         assert ladder.breakpoints[0] == pytest.approx(0.239, abs=0.005)
 
-    def test_segments_tile_operating_range(self, paper_model):
+    def test_breakpoints_are_knees(self, paper_model, tables):
+        for cluster in paper_model.clusters:
+            knees = {r for (c, _, _), hits in tables.knees.items() if c == cluster for r in hits}
+            assert set(tables.ladders[cluster].breakpoints) <= knees
+
+    def test_segments_tile_operating_range(self, paper_model, tables):
         lo, hi = rl.OPERATING_RANGE
         for cluster in paper_model.clusters:
-            ladder = rl.build_ladder(paper_model, cluster)
+            ladder = tables.ladders[cluster]
             edges = (lo, *ladder.breakpoints, hi)
             assert all(left < right for left, right in zip(edges, edges[1:]))
             assert len(ladder.tiers) == len(ladder.breakpoints) + 1
@@ -112,45 +186,40 @@ class TestLadder:
             ((1.0,), (T1080, T1080)),           # equal adjacent tiers
         ]:
             with pytest.raises(ValidationError):
-                rl.ResolutionLadder(1, breakpoints, tiers)
+                ResolutionLadder(1, breakpoints, tiers)
 
     def test_touching_top_tiers_make_no_breakpoint(self):
         # 1080p - 720p == (R - 2)^2: the top two tiers touch at 2 Mbps
         # without crossing; the lower tiers stay below both.
-        grid = rl.BitrateGrid.default()
-        models = {
+        model_set = model_set_of({
             (1, T360): rl.CubicRD(20.0, 1.0, 0.0, 0.0, valid_range=(0.2, 6.0)),
             (1, T540): rl.CubicRD(22.0, 1.0, 0.0, 0.0, valid_range=(0.2, 6.0)),
             (1, T720): rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0)),
             (1, T1080): rl.CubicRD(34.0, 1.0, 0.0, 0.1, valid_range=(0.2, 6.0)),
-        }
-        centroids = {key: (40.0,) * len(grid) for key in models}
-        model_set = rl.ClusterModelSet(k=1, grid=grid, tiers=(T360, T540, T720, T1080),
-                                       centroids=centroids, models=models, seed=0,
-                                       provenance="touch")
-        ladder = rl.build_ladder(model_set, 1)
+        }, provenance="touch")
+        ladder = rl.DecisionTables(model_set, rl.DecisionConfig()).ladders[1]
         assert not any(abs(bp - 2.0) < 0.1 for bp in ladder.breakpoints)
         assert ladder.tier_at(2.0) == T1080
 
-    def test_boundary_belongs_to_left_segment(self, paper_model):
-        ladder = rl.build_ladder(paper_model, 2)
+    def test_boundary_belongs_to_left_segment(self, tables):
+        ladder = tables.ladders[2]
         knee = ladder.breakpoints[0]
         assert ladder.tier_at(knee) == T720
         assert ladder.tier_at(knee + 1e-9) == T1080
 
-    def test_out_of_range_targets_clamp(self, paper_model):
-        ladder = rl.build_ladder(paper_model, 3)
+    def test_out_of_range_targets_clamp(self, tables):
+        ladder = tables.ladders[3]
         assert ladder.tier_at(0.01) == ladder.tiers[0]
         assert ladder.tier_at(50.0) == ladder.tiers[-1]
 
-    def test_nan_bitrate_has_no_tier(self, paper_model):
+    def test_nan_bitrate_has_no_tier(self, tables):
         with pytest.raises(ValidationError):
-            rl.build_ladder(paper_model, 3).tier_at(math.nan)
+            tables.ladders[3].tier_at(math.nan)
 
-    def test_argmax_invariance(self, paper_model):
+    def test_argmax_invariance(self, paper_model, tables):
         rng = np.random.default_rng(4)
         for cluster in paper_model.clusters:
-            ladder = rl.build_ladder(paper_model, cluster)
+            ladder = tables.ladders[cluster]
             for r in rng.uniform(0.2, 6.0, size=300):
                 chosen = rl.eval_cubic(paper_model.model(cluster, ladder.tier_at(r)), float(r))
                 for tier in paper_model.tiers:
@@ -163,8 +232,8 @@ class TestVlThreshold:
         "cluster,expected",
         [(1, 8.041), (2, 7.072), (3, 5.018), (4, 1.950), (5, 1.077), (6, 0.429)],
     )
-    def test_reference_values_1080p(self, paper_model, cfg, cluster, expected):
-        found = rl.vl_threshold(paper_model.model(cluster, T1080), cfg)
+    def test_reference_values_1080p(self, paper_model, cfg, tables, cluster, expected):
+        found = tables.vl[(cluster, T1080)]
         assert found is not None and found != rl.VL_SEARCH_RANGE[0]
         assert found == pytest.approx(expected, abs=0.01)
         model = paper_model.model(cluster, T1080)
@@ -173,66 +242,81 @@ class TestVlThreshold:
         # Just below the threshold the curve is still under the target.
         assert rl.eval_cubic(model, found - 1e-4) < cfg.vl_psnr
 
-    def test_extrapolation_flag(self, paper_model, cfg):
+    def test_extrapolation_flag(self, paper_model, tables):
         beyond, within = paper_model.model(1, T1080), paper_model.model(5, T1080)
-        assert not beyond.covers(rl.vl_threshold(beyond, cfg))
-        assert within.covers(rl.vl_threshold(within, cfg))
+        assert not beyond.covers(tables.vl[(1, T1080)])
+        assert within.covers(tables.vl[(5, T1080)])
 
-    def test_always_lossless_clamps_to_range_minimum(self, cfg):
+    def test_always_lossless_clamps_to_range_minimum(self):
         model = rl.CubicRD(45.0, 0.01, 0.001, 0.0001, valid_range=(0.2, 6.0))
-        assert rl.vl_threshold(model, cfg) == rl.VL_SEARCH_RANGE[0] == 0.2
+        assert single_tier_tables(model).vl[(1, T1080)] == rl.VL_SEARCH_RANGE[0] == 0.2
 
-    def test_unreachable_quality_is_absent(self, cfg):
+    def test_unreachable_quality_is_absent(self):
         model = rl.CubicRD(20.0, 0.1, 0.0, 0.0, valid_range=(0.2, 6.0))
-        assert rl.vl_threshold(model, cfg) is None
+        assert single_tier_tables(model).vl[(1, T1080)] is None
 
-    def test_decreasing_branch_rejected(self, cfg):
-        # Crosses 40 dB only while falling: no usable threshold.
-        model = rl.CubicRD(45.0, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
-        # Already >= 40 at the range minimum: clamped to it.
-        assert rl.vl_threshold(model, cfg) == rl.VL_SEARCH_RANGE[0]
-        shifted = rl.CubicRD(40.5, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
-        assert rl.vl_threshold(shifted, cfg) == rl.VL_SEARCH_RANGE[0]
-        low = rl.CubicRD(39.0, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0))
-        assert rl.vl_threshold(low, cfg) is None
+    def test_decreasing_branch_rejected(self):
+        # Crosses 40 dB only while falling: no usable threshold, unless
+        # the curve is already >= 40 at the range minimum (clamped to it).
+        models = [
+            rl.CubicRD(c0, -1.0, 0.0, 0.0, valid_range=(0.2, 6.0)) for c0 in (45.0, 40.5, 39.0)
+        ]
+        vl = single_tier_tables(*models).vl
+        assert [vl[(c, T1080)] for c in (1, 2, 3)] == [rl.VL_SEARCH_RANGE[0]] * 2 + [None]
+
+    def test_first_rising_root_wins(self):
+        # (R - 1)(R - 3)(R - 5) + 40: reaches 40 dB rising at 1 and at 5,
+        # and falling at 3; the threshold is the first rising one.
+        model = rl.CubicRD(25.0, 23.0, -9.0, 1.0, valid_range=(0.2, 6.0))
+        assert single_tier_tables(model).vl[(1, T1080)] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNzsInterval:
-    def test_reference_intervals(self, paper_model, cfg):
-        five = rl.nzs_interval(paper_model.model(5, T1080), cfg)
+    def test_reference_intervals(self, tables):
+        five = tables.nzs[(5, T1080)]
         assert five == (
             pytest.approx(3.423, abs=0.02),
             pytest.approx(4.414, abs=0.02),
         )
-        six = rl.nzs_interval(paper_model.model(6, T1080), cfg)
+        six = tables.nzs[(6, T1080)]
         assert six == (
             pytest.approx(3.293, abs=0.02),
             pytest.approx(4.575, abs=0.02),
         )
 
-    def test_absent_for_clusters_1_to_4_at_1080p(self, paper_model, cfg):
+    def test_absent_for_clusters_1_to_4_at_1080p(self, tables):
         for cluster in (1, 2, 3, 4):
-            assert rl.nzs_interval(paper_model.model(cluster, T1080), cfg) is None
+            assert tables.nzs[(cluster, T1080)] is None
 
-    def test_endpoint_slopes_hit_threshold(self, paper_model, cfg):
-        lo, hi = rl.nzs_interval(paper_model.model(6, T1080), cfg)
+    def test_endpoint_slopes_hit_threshold(self, paper_model, cfg, tables):
+        lo, hi = tables.nzs[(6, T1080)]
         model = paper_model.model(6, T1080)
         assert rl.eval_derivative(model, lo) == pytest.approx(cfg.nzs_slope, abs=1e-6)
         assert rl.eval_derivative(model, hi) == pytest.approx(cfg.nzs_slope, abs=1e-6)
 
-    def test_interior_slopes_below_threshold(self, paper_model, cfg):
+    def test_interior_slopes_below_threshold(self, paper_model, cfg, tables):
         rng = np.random.default_rng(8)
         for cluster in (5, 6):
             model = paper_model.model(cluster, T1080)
-            lo, hi = rl.nzs_interval(model, cfg)
+            lo, hi = tables.nzs[(cluster, T1080)]
             for r in rng.uniform(lo + 1e-9, hi - 1e-9, size=100):
                 assert rl.eval_derivative(model, float(r)) < cfg.nzs_slope
 
     def test_clamping_to_operating_range(self, paper_model):
-        wide = rl.DecisionConfig(nzs_slope=5.0)
-        lo, hi = rl.nzs_interval(paper_model.model(6, T1080), wide)
+        wide = rl.DecisionTables(paper_model, rl.DecisionConfig(nzs_slope=5.0))
+        lo, hi = wide.nzs[(6, T1080)]
         assert hi == rl.OPERATING_RANGE[1] == 6.0
         assert lo > rl.OPERATING_RANGE[0]
+
+    def test_no_bounded_dip(self):
+        # A slope parabola that opens downward, or that stays above the
+        # threshold, has no interval.
+        models = [
+            rl.CubicRD(30.0, 5.0, 0.0, -0.1, valid_range=(0.2, 6.0)),
+            rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0)),
+        ]
+        nzs = single_tier_tables(*models).nzs
+        assert nzs[(1, T1080)] is None and nzs[(2, T1080)] is None
 
 
 @pytest.mark.parametrize("field", ["vl_psnr", "nzs_slope"])
@@ -251,9 +335,9 @@ class TestBitrateRules:
         assert tables.decide(1, T1080, 3.0, vl_only)[1:3] == (3.0, ())  # cap above target
         assert tables.decide(4, T1080, 1.0, vl_only)[1:3] == (1.0, ())  # target below cap
 
-    def test_nzs_reduction(self, paper_model, cfg, tables):
+    def test_nzs_reduction(self, tables):
         nzs_only = rl.Modes(nzs=True)
-        _, upper = rl.nzs_interval(paper_model.model(6, T1080), cfg)
+        _, upper = tables.nzs[(6, T1080)]
         _, reduced, applied, _, _ = tables.decide(6, T1080, upper, nzs_only)
         assert reduced == pytest.approx(3.293, abs=0.02) and applied == ("nzs",)
         assert tables.decide(4, T1080, 4.0, nzs_only)[1:3] == (4.0, ())  # no interval
@@ -343,11 +427,7 @@ class TestRecommend:
         assert tables.decide(6, T1080, MAX_TARGET_BITRATE, rl.Modes(vl=True))[1] < MAX_TARGET_BITRATE
 
     def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, tables):
-        combos = [
-            rl.Modes(*flags)
-            for flags in itertools.product((False, True), repeat=3)
-            if any(flags)
-        ]
+        combos = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
         observations = observation_batch([
             on_curve_observation(paper_model, cluster, T1080, gop_id=f"c{cluster}")
             for cluster in paper_model.clusters
@@ -355,15 +435,16 @@ class TestRecommend:
         targets = np.linspace(0.21, 6.5, 100)
         for target in targets:
             proposed = {}
-            for modes in combos:
-                recs = tables.advise(observations, float(target), modes)["recommendations"]
+            for flags in combos:
+                recs = tables.advise(observations, float(target), rl.Modes(*flags))["recommendations"]
                 for rec in recs:
                     assert rec["proposed_bitrate"] <= rec["target_bitrate"]
                     assert rec["proposed_bitrate"] > 0
-                proposed[modes.enabled] = [rec["proposed_bitrate"] for rec in recs]
+                proposed[flags] = [rec["proposed_bitrate"] for rec in recs]
+            # Turning on one more mode never raises a proposal.
             for a, b in itertools.combinations(combos, 2):
-                if set(a.enabled) < set(b.enabled):
-                    for pa, pb in zip(proposed[a.enabled], proposed[b.enabled]):
+                if all(x <= y for x, y in zip(a, b)):
+                    for pa, pb in zip(proposed[a], proposed[b]):
                         assert pb <= pa + 1e-12
 
     @settings(max_examples=50, derandomize=True)
@@ -388,7 +469,7 @@ def dyadic_model_sets(draw):
     there has exactly the same residual against clusters c-1 and c.
     Returns the model and {tier: [(c-1, c, x, y), ...]}."""
     k = draw(st.integers(2, 4))
-    tiers = sorted(draw(st.lists(st.sampled_from(rl.STANDARD_TIERS), min_size=1, max_size=3,
+    tiers = sorted(draw(st.lists(st.sampled_from(STANDARD_TIERS), min_size=1, max_size=3,
                                  unique=True)))
     grid = rl.BitrateGrid.default()
     eighths = st.integers(2, 48).map(lambda i: i / 8)
@@ -427,7 +508,7 @@ def gop_batches(draw):
     points on exact residual ties, and invalid GOPs (no points, a
     non-finite value, a bitrate <= 0, a tier the model lacks)."""
     model_set, crossings = draw(dyadic_model_sets())
-    absent = [t for t in rl.STANDARD_TIERS if t not in model_set.tiers]
+    absent = [t for t in STANDARD_TIERS if t not in model_set.tiers]
     absent.append(rl.tier_from_name("1440p"))
     observations = []
     for index in range(draw(st.integers(1, 12))):

@@ -1,21 +1,26 @@
 """Exact text of the CLI and the savings sweeps, compared with the outputs
 stored under ``tests/golden/``. Every case prints rounded numbers only, so
 the stored text does not depend on the last bit of the linear algebra.
+Also: README's Library section names everything the package exports.
 
 Regenerate the stored text (after a deliberate output change) with
 ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
+import re
 import runpy
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import rdladder
 from rdladder import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "savings_sweep.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 MEASUREMENTS = str(GOLDEN / "measurements.csv")
 
 CLI_CASES = {
@@ -61,6 +66,15 @@ def test_output_matches_golden(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_readme_library_section_names_every_export():
+    text = README.read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    exported = [name for name, value in vars(rdladder).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(exported) > 20
+    assert [name for name in exported if not re.search(rf"\b{name}\b", library)] == []
 
 
 if __name__ == "__main__":

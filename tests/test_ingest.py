@@ -31,8 +31,8 @@ class TestParse:
         mset = rl.parse_measurements(text, source="unit")
         assert len(mset) == 1
         assert mset.groups == (("gop1", rl.tier_from_name("720p")),)
-        bitrates, psnr = mset.rows(0)
-        assert bitrates.tolist() == [1.5] and psnr.tolist() == [33.25]
+        assert mset.offsets.tolist() == [0, 1]
+        assert mset.bitrates.tolist() == [1.5] and mset.psnr.tolist() == [33.25]
 
     def test_comments_and_blank_lines_ignored(self):
         text = f"# comment\n\n{MEASUREMENT_HEADER}\n# another\ngop1,360p,1.0,30.0\n\n"
@@ -46,9 +46,9 @@ class TestParse:
             "g,1080p,2.0,36.0\n"
         )
         mset = rl.parse_measurements(text)
-        bitrates, psnr = mset.rows(0)
-        assert bitrates.tolist() == [1.0, 2.0, 3.0]
-        assert psnr.tolist() == [33.0, 36.0, 38.0]
+        assert mset.offsets.tolist() == [0, 3]
+        assert mset.bitrates.tolist() == [1.0, 2.0, 3.0]
+        assert mset.psnr.tolist() == [33.0, 36.0, 38.0]
 
     def test_malformed_row_names_line(self):
         text = f"{MEASUREMENT_HEADER}\ngop1,720p,1.5\n"
@@ -71,9 +71,9 @@ class TestParse:
         with pytest.raises(ParseError, match="line 4: expected 4 comma-separated fields, got 2"):
             rl.parse_measurements(text)
         mset = rl.parse_measurements(text.rsplit("g,720p\n", 1)[0])
-        bitrates, psnr = mset.rows(0)
-        assert bitrates.tolist() == [1.0, 2.0]
-        assert psnr.tolist() == [30.0, 31.0]
+        assert mset.offsets.tolist() == [0, 2]
+        assert mset.bitrates.tolist() == [1.0, 2.0]
+        assert mset.psnr.tolist() == [30.0, 31.0]
 
     def test_unknown_resolution(self):
         text = f"{MEASUREMENT_HEADER}\ngop1,700i,1.0,33.0\n"
@@ -331,14 +331,13 @@ class TestModelFile:
         mset = grid_measurements(clusters, paper_model.tiers, grid, paper_model, 0.05, rng)
         trained, _ = rl.train_details(mset, grid, k=6, seed=42)
         loaded = rl.load_model(rl.save_model(trained))
+        before, after = rl.DecisionTables(trained, cfg), rl.DecisionTables(loaded, cfg)
         for cluster in trained.clusters:
-            lt = rl.build_ladder(trained, cluster)
-            ll = rl.build_ladder(loaded, cluster)
+            lt, ll = before.ladders[cluster], after.ladders[cluster]
             assert lt.tiers == ll.tiers
             assert lt.breakpoints == pytest.approx(ll.breakpoints, abs=1e-9)
             for tier in trained.tiers:
-                a = rl.vl_threshold(trained.model(cluster, tier), cfg)
-                b = rl.vl_threshold(loaded.model(cluster, tier), cfg)
+                a, b = before.vl[(cluster, tier)], after.vl[(cluster, tier)]
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert a == pytest.approx(b, abs=1e-9)

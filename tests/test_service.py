@@ -499,6 +499,15 @@ class TestProtocolFaults:
         assert status_and_document(reply) == (status, document)
         self.assert_still_serving(srv, before, paper_model)
 
+    def test_body_nested_too_deeply_gets_a_json_400(self, pooled, paper_model):
+        # 100 kB, far under the body cap, but too deep for the JSON decoder.
+        srv, _, before = pooled
+        reply = raw_exchange(srv.server_address[1],
+                             b"POST /v1/recommend HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+                             + b"[" * 100_000)
+        assert status_and_document(reply) == (b"400", {"error": "request body must be valid JSON"})
+        self.assert_still_serving(srv, before, paper_model)
+
     def test_client_that_sends_nothing_is_closed(self, pooled, paper_model):
         srv, _, before = pooled
         assert raw_exchange(srv.server_address[1], b"") == b""

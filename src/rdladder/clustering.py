@@ -1,5 +1,4 @@
-"""Fixed-grid R-D vectors, K-means clustering of them, and cluster
-assignment for new measurements.
+"""Fixed-grid R-D vectors and K-means clustering of them.
 
 Each GOP's measured curve at every resolution tier is resampled onto a
 shared bitrate grid, one matrix row per (gop, tier) group. The GOPs are
@@ -158,10 +157,17 @@ def kmeans(vectors: np.ndarray, k: int, seed: int = 42) -> KMeansResult:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     x = np.asarray(vectors, dtype=float)
-    if x.ndim != 2:
+    if x.ndim != 2 or not x.shape[1]:
         raise ValidationError("k-means expects a [vectors, grid] matrix")
     if len(x) < k:
         raise InsufficientDataError(f"k-means needs at least k={k} vectors, got {len(x)}")
+    # Fewer distinct vectors than k leave a centroid nothing of its own:
+    # its re-seed lands on a vector another centroid holds, for ever.
+    # Rows are counted sorted by lexsort; np.unique would import numpy.ma.
+    ordered = x[np.lexsort(x.T[::-1])]
+    distinct = 1 + np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1))
+    if distinct < k:
+        raise InsufficientDataError(f"k-means needs at least k={k} distinct vectors, got {distinct}")
 
     centers = _kmeanspp_init(x, k, np.random.default_rng(seed))
 
@@ -299,23 +305,3 @@ def train_details(
     )
     return model_set, result
 
-
-def nearest_clusters(
-    coeffs: np.ndarray, bitrates: np.ndarray, psnr: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assign a batch of GOPs measured at one tier to the cluster whose
-    centroid curve is nearest to their (bitrate, psnr) points, by RMS PSNR
-    residual. Ties resolve toward the lower cluster index.
-
-    ``coeffs[j]`` holds cluster j+1's cubic as (c0, c1, c2, c3). GOP g owns
-    points ``offsets[g]:offsets[g + 1]`` of ``bitrates`` and ``psnr``, at
-    least one. Returns the 1-based clusters and their RMS residuals, one
-    per GOP.
-    """
-    r = bitrates[:, None]
-    c0, c1, c2, c3 = coeffs.T
-    resid = psnr[:, None] - (c0 + r * (c1 + r * (c2 + r * c3)))  # [point, cluster]
-    counts = offsets[1:] - offsets[:-1]
-    rms = np.sqrt(np.add.reduceat(resid * resid, offsets[:-1], axis=0) / counts[:, None])
-    best = rms.argmin(axis=1)
-    return best + 1, rms[np.arange(len(best)), best]

@@ -21,10 +21,7 @@ import threading
 import time
 from contextlib import suppress
 from http import HTTPStatus
-from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .clustering import ClusterModelSet
 from .decision import DecisionConfig, DecisionTables, Modes, ObservationBatch, check_target
@@ -95,37 +92,34 @@ def _gop_fields(entry, index: int) -> tuple[ResolutionTier, list[tuple[float, fl
 
 def _bulk_batch(gops: list) -> ObservationBatch | None:
     """The batch of a request whose every GOP is well formed, checked and
-    converted field by field over all GOPs at once; None when any GOP is
-    malformed or holds an integer too large for a float. The checks are
-    ``_gop_fields``'s, by exact type, so bools are not numbers here."""
-    if set(map(type, gops)) != {dict}:
-        return None
-    gop_ids = [entry.get("gop_id") for entry in gops]
-    tier_names = [entry.get("tier") for entry in gops]
-    points = [entry.get("points") for entry in gops]
-    if (set(map(type, gop_ids)) != {str} or not all(gop_ids)
-            or set(map(type, tier_names)) != {str}
-            or set(map(type, points)) != {list} or not all(points)):
-        return None
-    pairs = list(chain.from_iterable(points))
-    if not set(map(type, pairs)) <= {list, tuple} or set(map(len, pairs)) != {2}:
-        return None
-    coordinates = list(chain.from_iterable(pairs))
-    if not set(map(type, coordinates)) <= {int, float}:
-        return None
+    converted in one pass over the GOPs and their points; None when any
+    GOP is malformed or holds an integer too large for a float. The checks
+    are ``_gop_fields``'s, by exact type, so bools are not numbers here."""
+    gop_ids, tiers, offsets, bitrates, psnr = [], [], [0], [], []
     try:
-        by_name = {name: tier_from_name(name) for name in set(tier_names)}
-        columns = np.array(coordinates, dtype=float)
-    except (ValidationError, OverflowError):
+        for entry in gops:
+            if type(entry) is not dict:
+                return None
+            gop_id, tier_name, points = entry.get("gop_id"), entry.get("tier"), entry.get("points")
+            if (type(gop_id) is not str or not gop_id or type(tier_name) is not str
+                    or type(points) is not list or not points):
+                return None
+            gop_ids.append(gop_id)
+            tiers.append(tier_from_name(tier_name))
+            for pair in points:
+                if type(pair) is not list and type(pair) is not tuple or len(pair) != 2:
+                    return None
+                r, q = pair
+                if type(r) is not float or type(q) is not float:
+                    if not {type(r), type(q)} <= {int, float}:
+                        return None
+                    r, q = float(r), float(q)
+                bitrates.append(r)
+                psnr.append(q)
+            offsets.append(len(bitrates))
+    except (ValidationError, OverflowError):  # an unknown tier, an integer beyond the float range
         return None
-    return ObservationBatch(
-        gop_ids=gop_ids,
-        tiers=[by_name[name] for name in tier_names],
-        offsets=np.fromiter(accumulate(map(len, points), initial=0), int, len(gops) + 1),
-        bitrates=columns[0::2],
-        psnr=columns[1::2],
-        errors=[None] * len(gops),
-    )
+    return ObservationBatch(gop_ids, tiers, offsets, bitrates, psnr, [None] * len(gops))
 
 
 def _observation_batch(gops: list) -> ObservationBatch:
@@ -133,7 +127,7 @@ def _observation_batch(gops: list) -> ObservationBatch:
     entry gets its message in ``errors``, no points and no tier, and
     keeps its ``gop_id`` when that is a string ("" otherwise: a number
     could be NaN or infinite, which the answer's JSON cannot carry).
-    A batch with no malformed entry is converted in one bulk pass; the
+    A batch with no malformed entry is converted in one pass; the
     others are walked entry by entry."""
     batch = _bulk_batch(gops)
     if batch is not None:
@@ -151,15 +145,7 @@ def _observation_batch(gops: list) -> ObservationBatch:
         errors.append(error)
         points += pairs
         offsets.append(len(points))
-    bitrates, psnr = np.array(points, dtype=float).reshape(-1, 2).T
-    return ObservationBatch(
-        gop_ids=gop_ids,
-        tiers=tiers,
-        offsets=np.array(offsets),
-        bitrates=bitrates,
-        psnr=psnr,
-        errors=errors,
-    )
+    return ObservationBatch(gop_ids, tiers, offsets, [r for r, _ in points], [q for _, q in points], errors)
 
 
 def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict]:
@@ -174,10 +160,10 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     modes_field = payload.get("modes", [])
     if not isinstance(modes_field, list) or not all(isinstance(m, str) for m in modes_field):
         return 400, {"error": "modes must be a list of strings"}
-    unknown = [name for name in modes_field if name not in Modes._NAMES]
+    unknown = [name for name in modes_field if name not in Modes._fields]
     if unknown:
         return 400, {"error": f"unknown mode(s): {', '.join(map(repr, unknown))}"}
-    modes = Modes(**dict.fromkeys(modes_field, True))
+    modes = Modes._make(name in modes_field for name in Modes._fields)
     if not modes.any_enabled:
         return 400, {"error": "at least one mode must be enabled"}
     gops = payload.get("gops")

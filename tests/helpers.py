@@ -324,7 +324,8 @@ def observation_batch(gops, errors=None) -> rl.ObservationBatch:
 def scalar_assign(points, model_set, tier) -> tuple[int, float]:
     """Reference cluster assignment, one GOP at a time: the cluster with
     the smallest RMS PSNR residual by scalar evaluation (ties toward the
-    lower cluster index) and that residual."""
+    lower cluster index) and that residual. Squares are ``d * d`` and are
+    summed in point order, as ``DecisionTables.assign`` sums them."""
     if not points:
         raise ValidationError("assignment needs at least one (bitrate, psnr) point")
     if not model_set.has_tier(tier):
@@ -337,8 +338,11 @@ def scalar_assign(points, model_set, tier) -> tuple[int, float]:
 
     def rms(cluster: int) -> float:
         model = model_set.model(cluster, tier)
-        sq = [(psnr - rl.eval_cubic(model, bitrate)) ** 2 for bitrate, psnr in points]
-        return math.sqrt(sum(sq) / len(sq))
+        total = 0.0
+        for bitrate, psnr in points:
+            d = psnr - rl.eval_cubic(model, bitrate)
+            total += d * d
+        return math.sqrt(total / len(points))
 
     distances = {c: rms(c) for c in model_set.clusters}
     best = min(model_set.clusters, key=lambda c: (distances[c], c))

@@ -79,6 +79,16 @@ class TestTrain:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_fewer_distinct_curves_than_k_exits_1(self, tmp_path, paper_model, capsys):
+        # Eight GOPs, but only three distinct curves: clusters 1, 2 and 3.
+        text = measurement_csv([1, 2, 3, 1, 2, 3, 1, 2], paper_model.tiers, paper_model.grid.bitrates)
+        path, out = tmp_path / "repeated.csv", tmp_path / "m.json"
+        path.write_text(text)
+        rc = cli.main(["train", str(path), "--out", str(out), "--k", "4"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not out.exists()
+        assert captured.err == "error: k-means needs at least k=4 distinct vectors, got 3\n"
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_1(self, tmp_path, training_file, k, capsys):
         rc = cli.main(["train", str(training_file), "--out", str(tmp_path / "m.json"), "--k", k])

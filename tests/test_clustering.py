@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.clustering import KMeansResult, kmeans, train_details
+from rdladder.clustering import KMEANS_MAX_ITER, KMeansResult, kmeans, train_details
 from rdladder.errors import (
     ConflictError,
     CoverageError,
@@ -224,6 +224,21 @@ class TestKMeans:
     def test_insufficient_vectors(self, t1080):
         with pytest.raises(InsufficientDataError):
             kmeans(const_vectors(30.0, 1), k=2, seed=0)
+
+    def test_fewer_distinct_vectors_than_k(self):
+        # Five vectors, three of them distinct: a fourth centroid would have
+        # no vector of its own, and its re-seed would never settle.
+        vectors = np.concatenate([const_vectors(v, 1) for v in (1.0, 2.0, 3.0, 3.0, 1.0)])
+        with pytest.raises(InsufficientDataError, match=r"^k-means needs at least k=4 distinct vectors, got 3$"):
+            kmeans(vectors, k=4, seed=0)
+        result = kmeans(vectors, k=3, seed=0)
+        assert result.inertia == 0.0 and result.n_iter < KMEANS_MAX_ITER
+
+    def test_vectors_differing_in_one_column_are_distinct(self):
+        vectors = np.array([[1.0, 2.0, 5.0], [1.0, 3.0, 5.0], [1.0, 2.0, 5.0], [0.0, 2.0, 5.0]])
+        with pytest.raises(InsufficientDataError, match="distinct vectors, got 3"):
+            kmeans(vectors, k=4, seed=0)
+        assert len(set(kmeans(vectors, k=3, seed=0).labels)) == 3
 
     def test_empty_cluster_reseeded_at_farthest_point(self, t1080):
         # From seed 0, k-means++ seeds at 28, 3 and 6. After the first

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdladder as rl
-from rdladder.decision import MAX_TARGET_BITRATE, ResolutionLadder, _real_roots
+from rdladder.decision import FLOAT_KERNEL_LIMIT, MAX_TARGET_BITRATE, ResolutionLadder, _real_roots
 from rdladder.errors import ValidationError
 from rdladder.tiers import STANDARD_TIERS
 
@@ -503,16 +503,17 @@ BAD_POINTS = st.one_of(
 
 
 @st.composite
-def gop_batches(draw):
-    """A model and a batch of GOPs over it: mixed tiers, 1 to 6 points,
-    points on exact residual ties, and invalid GOPs (no points, a
-    non-finite value, a bitrate <= 0, a tier the model lacks)."""
+def gop_lists(draw):
+    """A model and 1 to 40 (gop_id, tier, points) GOPs over it: mixed
+    tiers, 1 to 6 points, points on exact residual ties, bitrates up to
+    1e300 (where every cubic overflows to infinity), and invalid GOPs (no
+    points, a non-finite value, a bitrate <= 0, a tier the model lacks)."""
     model_set, crossings = draw(dyadic_model_sets())
     absent = [t for t in STANDARD_TIERS if t not in model_set.tiers]
     absent.append(rl.tier_from_name("1440p"))
     observations = []
-    for index in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["free", "free", "tie", "tie", "invalid"]))
+    for index in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["free", "free", "tie", "tie", "huge", "invalid"]))
         tier = draw(st.sampled_from(model_set.tiers))
         count = draw(st.integers(1, 6))
         if kind == "tie" and tier in crossings:
@@ -523,9 +524,8 @@ def gop_batches(draw):
                 for r in (draw(st.sampled_from((x, y))) for _ in range(count))
             ]
         else:
-            points = [
-                (draw(st.floats(0.05, 12.0)), draw(st.floats(10.0, 70.0))) for _ in range(count)
-            ]
+            bitrates = st.floats(12.0, 1e300) if kind == "huge" else st.floats(0.05, 12.0)
+            points = [(draw(bitrates), draw(st.floats(10.0, 70.0))) for _ in range(count)]
         if kind == "invalid":
             fault = draw(st.sampled_from(["point", "point", "empty", "tier"]))
             if fault == "point":
@@ -535,38 +535,83 @@ def gop_batches(draw):
             else:
                 tier = draw(st.sampled_from(absent))
         observations.append((f"g{index}", tier, tuple(points)))
-    return model_set, observation_batch(observations)
+    return model_set, observations
 
 
-def decision_fields(entry):
-    """What the batch path must reproduce exactly: every key but the
-    rationale, whose RMS figure the reference computes with ``** 2``."""
-    return {key: value for key, value in entry.items() if key != "rationale"}
+def as_lists(batch):
+    """``batch`` with its offsets and point columns as lists."""
+    return rl.ObservationBatch(batch.gop_ids, batch.tiers, batch.offsets.tolist(),
+                               batch.bitrates.tolist(), batch.psnr.tolist(), batch.errors)
+
+
+class TestAssignKernels:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(drawn=gop_lists(), rejected=st.integers(0, 2), lists=st.booleans(), data=st.data())
+    def test_assignment_does_not_depend_on_the_batch(self, drawn, rejected, lists, data):
+        # The GOPs that fit below FLOAT_KERNEL_LIMIT are assigned alone, in
+        # plain floats, and then followed by padding GOPs that push the
+        # batch into the numpy kernel: their clusters, RMS bits and errors
+        # must not change.
+        model_set, gops = drawn
+        gops = data.draw(st.permutations(gops + [(f"r{i}", None, ()) for i in range(rejected)]))
+        errors = [None if tier else "rejected before assignment" for _, tier, _ in gops]
+        k = model_set.k
+        sizes = np.cumsum([len(points) for _, _, points in gops]) * k
+        m = int(np.searchsorted(sizes, FLOAT_KERNEL_LIMIT))
+        padding = [(f"p{i}", model_set.tiers[-1], ((1.5, 40.0),) * 8)
+                   for i in range(FLOAT_KERNEL_LIMIT // 8 + 1)]
+        small = observation_batch(gops[:m], errors[:m])
+        large = observation_batch(gops[:m] + padding, errors[:m] + [None] * len(padding))
+        if lists:
+            small, large = as_lists(small), as_lists(large)
+        assert small.offsets[-1] * k < FLOAT_KERNEL_LIMIT <= large.offsets[-1] * k
+
+        tables = rl.DecisionTables(model_set, rl.DecisionConfig())
+        clusters, rms, errors = tables.assign(small)
+        padded_clusters, padded_rms, padded_errors = tables.assign(large)
+        assert clusters.tolist() == padded_clusters[:m].tolist()
+        np.testing.assert_array_equal(rms, padded_rms[:m])  # NaN, where unassigned, matches NaN
+        assert errors == padded_errors[:m]
+
+    @pytest.mark.parametrize("padding", [0, 40])
+    def test_overflowing_cubics_go_to_the_first_cluster(self, tables, padding):
+        # At 1e300 Mbps every cubic overflows, so every distance is infinite.
+        gops = [("huge", T1080, ((1e300, 40.0), (2.0, 40.0)))] + [("pad", T720, ((1.0, 40.0),) * 4)] * padding
+        clusters, rms, errors = tables.assign(observation_batch(gops))
+        assert (clusters[0].item(), rms[0].item(), errors[0]) == (1, math.inf, None)
 
 
 class TestAdvise:
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        batch=gop_batches(),
-        target=st.one_of(st.floats(0.1, 8.0), st.sampled_from([0.0, -1.0, float("nan")])),
-        modes=st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any),
-    )
-    def test_matches_scalar_reference(self, batch, target, modes):
-        model_set, observations = batch
-        cfg = rl.DecisionConfig()
-        modes = rl.Modes(*modes)
+    def test_matches_scalar_reference(self):
+        # The batches (1 to 40 GOPs of 1 to 6 points, k from 2 to 4) fall on
+        # both sides of FLOAT_KERNEL_LIMIT, so both kernels are compared.
+        kernels = set()
 
-        def outcome(advise, *args):
-            try:
-                document = advise(*args)
-            except ValidationError as exc:  # an invalid target fails the whole batch
-                return str(exc)
-            return list(map(decision_fields, document["recommendations"])), document["savings"]
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(
+            drawn=gop_lists(),
+            target=st.one_of(st.floats(0.1, 8.0), st.sampled_from([0.0, -1.0, float("nan")])),
+            modes=st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any),
+        )
+        def check(drawn, target, modes):
+            model_set, observations = drawn[0], observation_batch(drawn[1])
+            cfg = rl.DecisionConfig()
+            modes = rl.Modes(*modes)
 
-        got = outcome(rl.DecisionTables(model_set, cfg).advise, observations, target, modes)
-        want = outcome(scalar_advise, observations, model_set, cfg, modes, target)
-        assert got == want
-        assert isinstance(got, str) == (not (math.isfinite(target) and target > 0))
+            def outcome(advise, *args):
+                try:
+                    return advise(*args)
+                except ValidationError as exc:  # an invalid target fails the whole batch
+                    return str(exc)
+
+            got = outcome(rl.DecisionTables(model_set, cfg).advise, observations, target, modes)
+            want = outcome(scalar_advise, observations, model_set, cfg, modes, target)
+            assert got == want
+            assert isinstance(got, str) == (not (math.isfinite(target) and target > 0))
+            kernels.add(observations.offsets[-1] * model_set.k < FLOAT_KERNEL_LIMIT)
+
+        check()
+        assert kernels == {True, False}
 
     def test_tiers_built_apart_answer_alike(self, paper_model, tables):
         # Tiers are values: a batch of tiers equal to the model's, but not

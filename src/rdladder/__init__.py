@@ -13,6 +13,8 @@ from .clustering import BitrateGrid, ClusterModelSet, resample_to_grid, train_de
 from .decision import (
     OPERATING_RANGE,
     VL_SEARCH_RANGE,
+    Advice,
+    Decision,
     DecisionConfig,
     DecisionTables,
     Modes,

@@ -134,17 +134,14 @@ def cmd_recommend(args) -> int:
     advice = DecisionTables(model_set, cfg).advise(
         _observations(mset, model_set), args.target_bitrate, modes
     )
-    report = advice["savings"]
-
-    if args.format == "json":
-        # The bytes the service answers with; imported here, as in
-        # cmd_serve, so that the other commands do not load the service.
-        from .service import encode_body
-
-        print(encode_body(advice).decode())
-    elif args.format == "csv":
+    if args.format == "json":  # the bytes the service answers with
+        print(advice.encode().decode())
+        return EXIT_OK
+    document = advice.document()
+    report = document["savings"]
+    if args.format == "csv":
         print("gop_id,cluster,tier,target_bitrate_mbps,proposed_bitrate_mbps,predicted_psnr_db,modes_applied")
-        for rec in advice["recommendations"]:
+        for rec in document["recommendations"]:
             if "error" in rec:
                 print(f"# {rec['gop_id']}: {rec['error']}")
             else:
@@ -158,7 +155,7 @@ def cmd_recommend(args) -> int:
             print(f"# total_proposed={report['total_proposed']:.3f}")
             print(f"# saving_percent={report['saving_percent']:.3f}")
     else:
-        for rec in advice["recommendations"]:
+        for rec in document["recommendations"]:
             if "error" in rec:
                 print(f"{rec['gop_id']}: ERROR {rec['error']}")
             else:

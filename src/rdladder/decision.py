@@ -11,6 +11,9 @@ service, ``verify-paper`` and the scripts all decide through it. Its
 ``assign`` sums each GOP's squared residuals in point order, in plain
 floats for a small batch and in one numpy pass for a large one, so that
 both give the same bits and a one-GOP request pays no numpy call there.
+``advise`` answers with an ``Advice``: columns per GOP and each distinct
+decision once, which ``Advice.encode`` writes as the answer's JSON bytes
+with each decision's shared text encoded once.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -231,7 +236,7 @@ class ObservationBatch:
     assignment, which owns no points and may have no tier. Each column
     may be a list or a numpy array."""
 
-    gop_ids: Sequence
+    gop_ids: Sequence[str]
     tiers: Sequence[Optional[ResolutionTier]]
     offsets: Sequence[int]
     bitrates: Sequence[float]
@@ -279,6 +284,88 @@ def savings_report(pairs: Sequence[tuple[float, float]]) -> dict:
         "total_proposed": total_proposed,
         "saving_percent": 100.0 * (total_target - total_proposed) / total_target,
     }
+
+
+class Decision(NamedTuple):
+    """The answer for every GOP of ``cluster`` measured at one native
+    tier: ``DecisionTables.decide``'s tier, proposed bitrate, modes
+    applied and predicted PSNR, and ``notes``, its notes as the text that
+    ends each such GOP's rationale ("; " before each note)."""
+
+    cluster: int
+    tier: ResolutionTier
+    proposed: float
+    applied: tuple[str, ...]
+    predicted: float
+    notes: str
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Advice:
+    """A batch's advice as columns, GOP by GOP in input order. GOP ``g``
+    is ``gop_ids[g]``. When ``errors[g]`` is None it was assigned with
+    RMS residual ``rms[g]`` and takes ``decisions[choices[g]]``; otherwise
+    it is not answered and ``choices[g]`` is -1. ``savings`` holds the
+    totals over the answered GOPs, as ``savings_report`` gives them, or
+    None when no GOP was answered."""
+
+    gop_ids: Sequence[str]
+    target_r: float
+    rms: list[float]
+    errors: list[Optional[str]]
+    choices: list[int]
+    decisions: list[Decision]
+    savings: Optional[dict]
+
+    def document(self) -> dict:
+        """The advice document, as the service answers it and
+        ``recommend --format json`` prints it: ``recommendations`` holds
+        one entry per GOP in input order, and ``savings`` the totals. An
+        answered GOP's entry holds ``gop_id``, ``cluster``, ``tier`` (its
+        name), ``target_bitrate``, ``proposed_bitrate``,
+        ``predicted_psnr``, ``modes_applied`` and ``rationale``; a GOP
+        that cannot be answered gets ``{"gop_id", "error"}``."""
+        entries = []
+        for gop_id, distance, error, choice in zip(self.gop_ids, self.rms, self.errors, self.choices):
+            if error is not None:
+                entries.append({"gop_id": gop_id, "error": error})
+                continue
+            cluster, tier, proposed, applied, predicted, notes = self.decisions[choice]
+            entries.append({
+                "gop_id": gop_id,
+                "cluster": cluster,
+                "tier": tier.name,
+                "target_bitrate": self.target_r,
+                "proposed_bitrate": proposed,
+                "predicted_psnr": predicted,
+                "modes_applied": list(applied),
+                "rationale": f"cluster {cluster} (rms {distance:.3f} dB){notes}",
+            })
+        return {"recommendations": entries, "savings": None if self.savings is None else dict(self.savings)}
+
+    def encode(self) -> bytes:
+        """``json.dumps(self.document()).encode()``, written from the
+        columns: each decision's entry text but ``gop_id`` and the
+        residual in ``rationale`` is encoded once, and each GOP's entry
+        splices its escaped ``gop_id`` and residual into it. The residual
+        and the rationale's prefix are ASCII that JSON does not escape,
+        and ``json.dumps`` escapes a string one character at a time, so
+        the rationale's pieces escape as the whole string does."""
+        escape = encode_basestring_ascii
+        heads, tails = [], []
+        for cluster, tier, proposed, applied, predicted, notes in self.decisions:
+            shared = json.dumps({
+                "cluster": cluster, "tier": tier.name, "target_bitrate": self.target_r,
+                "proposed_bitrate": proposed, "predicted_psnr": predicted, "modes_applied": list(applied),
+            })
+            heads.append(f', {shared[1:-1]}, "rationale": "cluster {cluster} (rms ')
+            tails.append(f' dB){escape(notes)[1:-1]}"}}')
+        entries = ", ".join([
+            f'{{"gop_id": {escape(gop_id)}{heads[choice]}{distance:.3f}{tails[choice]}' if error is None
+            else f'{{"gop_id": {escape(gop_id)}, "error": {escape(error)}}}'
+            for gop_id, distance, error, choice in zip(self.gop_ids, self.rms, self.errors, self.choices)
+        ])
+        return f'{{"recommendations": [{entries}], "savings": {json.dumps(self.savings)}}}'.encode()
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,16 +553,26 @@ class DecisionTables:
 
         gops = np.array(members, dtype=int)
         counts = offsets[gops + 1] - offsets[gops]
-        kept = np.zeros(n, dtype=bool)
-        kept[gops] = True
-        kept = kept.repeat(offsets[1:] - offsets[:-1])  # the points of the GOPs assigned, in order
+        if len(gops) < n:  # keep only the points of the GOPs assigned, in order
+            kept = np.zeros(n, dtype=bool)
+            kept[gops] = True
+            kept = kept.repeat(offsets[1:] - offsets[:-1])
+            bitrates, psnr = bitrates[kept], psnr[kept]
         owner = np.arange(len(gops)).repeat(counts)
-        c0, c1, c2, c3 = self.coeffs[np.array(tier_rows)[gops].repeat(counts)].transpose(2, 0, 1)
-        r = bitrates[kept, None]
+        rows = np.array(tier_rows)[gops].repeat(counts)
+        r = bitrates[:, None]
+        # c0 + r * (c1 + r * (c2 + r * c3)), [point, cluster], one gathered
+        # coefficient plane at a time (``take`` gathers rows several times
+        # faster than indexing), then (psnr - it) ** 2 as d * d.
+        y = self.coeffs[..., 3].take(rows, axis=0)
         with np.errstate(over="ignore"):  # a huge bitrate makes a cubic infinite
-            d = psnr[kept, None] - (c0 + r * (c1 + r * (c2 + r * c3)))  # [point, cluster]
+            for j in (2, 1, 0):
+                y *= r
+                y += self.coeffs[..., j].take(rows, axis=0)
+            np.subtract(psnr[:, None], y, out=y)
+            y *= y
             # bincount adds each (GOP, cluster) bin's weights in input order: point order.
-            sums = np.bincount((owner[:, None] * k + np.arange(k)).ravel(), weights=(d * d).ravel(),
+            sums = np.bincount((owner[:, None] * k + np.arange(k)).ravel(), weights=y.ravel(),
                                minlength=len(gops) * k)
         distances = np.sqrt(sums.reshape(-1, k) / counts[:, None])
         best = distances.argmin(axis=1)
@@ -483,52 +580,36 @@ class DecisionTables:
         clusters[gops], rms[gops] = best + 1, distances[np.arange(len(gops)), best]
         return clusters, rms, errors
 
-    def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> dict:
+    def advise(self, batch: ObservationBatch, target_r: float, modes: Modes) -> Advice:
         """The decision pipeline for a batch of GOPs: assign each a
         cluster from its measured points, pick a tier (the ladder's when
         trans-sizing is on, the native one otherwise), then apply the
         visually-lossless cap and the near-zero-slope reduction to the
-        target bitrate, in that order.
-
-        Returns the advice document, as the service answers it and
-        ``recommend --format json`` prints it: ``recommendations`` holds
-        one entry per GOP in input order, and ``savings`` the totals over
-        the answered GOPs (None when no GOP was answered). An answered
-        GOP's entry holds ``gop_id``, ``cluster``, ``tier`` (its name),
-        ``target_bitrate``, ``proposed_bitrate``, ``predicted_psnr``,
-        ``modes_applied`` and ``rationale``; a GOP that cannot be answered
-        gets ``{"gop_id", "error"}``."""
+        target bitrate, in that order. ``decide`` runs once per distinct
+        (cluster, native tier) of the batch; the savings are summed in
+        GOP order."""
         if not modes.any_enabled:
             raise ValidationError("at least one mode must be enabled")
         check_target(target_r)
         clusters, rms, errors = self.assign(batch)
-        decisions: dict[tuple[int, ResolutionTier], tuple] = {}
-        entries: list[dict] = []
-        pairs: list[tuple[float, float]] = []
-        for gop_id, native, cluster, distance, error in zip(
-            batch.gop_ids, batch.tiers, clusters.tolist(), rms.tolist(), errors
-        ):
+        seen: dict[tuple[int, ResolutionTier], int] = {}
+        decisions: list[Decision] = []
+        choices: list[int] = []
+        for native, cluster, error in zip(batch.tiers, clusters.tolist(), errors):
             if error is not None:
-                entries.append({"gop_id": gop_id, "error": error})
+                choices.append(-1)
                 continue
-            key = (cluster, native)
-            decision = decisions.get(key)
-            if decision is None:
+            choice = seen.get((cluster, native))
+            if choice is None:
                 tier, bitrate, applied, predicted, notes = self.decide(cluster, native, target_r, modes)
-                decision = decisions[key] = (tier.name, bitrate, predicted, applied, "; ".join(("", *notes)))
-            tier_name, bitrate, predicted, applied, notes = decision
-            entries.append({
-                "gop_id": gop_id,
-                "cluster": cluster,
-                "tier": tier_name,
-                "target_bitrate": target_r,
-                "proposed_bitrate": bitrate,
-                "predicted_psnr": predicted,
-                "modes_applied": list(applied),
-                "rationale": f"cluster {cluster} (rms {distance:.3f} dB){notes}",
-            })
-            pairs.append((target_r, bitrate))
-        return {"recommendations": entries, "savings": savings_report(pairs) if pairs else None}
+                choice = seen[(cluster, native)] = len(decisions)
+                decisions.append(Decision(cluster, tier, bitrate, applied, predicted,
+                                          "; ".join(("", *notes))))
+            choices.append(choice)
+        proposed = [decision.proposed for decision in decisions]
+        pairs = [(target_r, proposed[choice]) for choice in choices if choice >= 0]
+        return Advice(batch.gop_ids, target_r, rms.tolist(), errors, choices, decisions,
+                      savings_report(pairs) if pairs else None)
 
     def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
         """(tier, proposed bitrate, modes applied, predicted PSNR, notes)

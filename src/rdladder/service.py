@@ -21,10 +21,9 @@ import threading
 import time
 from contextlib import suppress
 from http import HTTPStatus
-from json.encoder import encode_basestring_ascii
 
 from .clustering import ClusterModelSet
-from .decision import DecisionConfig, DecisionTables, Modes, ObservationBatch, check_target
+from .decision import Advice, DecisionConfig, DecisionTables, Modes, ObservationBatch, check_target
 from .errors import ValidationError
 from .tiers import ResolutionTier, tier_from_name
 
@@ -46,9 +45,6 @@ MAX_HEAD_BYTES = 64 * 1024
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 # Control characters are written escaped in the log, as http.server does.
 _LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
-# The keys of an answered entry of the advice document, in order.
-_ANSWER_KEYS = ("gop_id", "cluster", "tier", "target_bitrate", "proposed_bitrate",
-                "predicted_psnr", "modes_applied", "rationale")
 
 
 def _number(value) -> float | None:
@@ -148,10 +144,11 @@ def _observation_batch(gops: list) -> ObservationBatch:
     return ObservationBatch(gop_ids, tiers, offsets, [r for r, _ in points], [q for _, q in points], errors)
 
 
-def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict]:
-    """Process one advisory request document; returns (http_status, body).
-    Pure function: all the protocol logic lives here, the HTTP handler
-    only moves bytes."""
+def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, Advice | dict]:
+    """Process one advisory request document; returns (http_status,
+    body), the body an ``Advice`` when the status is 200 and an error
+    document otherwise. Pure function: all the protocol logic lives
+    here, the HTTP handler only moves bytes."""
     if not isinstance(payload, dict):
         return 400, {"error": "request body must be a JSON object"}
     target = _number(payload.get("target_bitrate"))
@@ -176,50 +173,13 @@ def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, dict
     return 200, tables.advise(_observation_batch(gops), target, modes)
 
 
-def _shared_middle(entry: dict) -> str | None:
-    """The JSON text between an answered entry's ``gop_id`` and
-    ``rationale`` values; None when an entry whose values equal these
-    could be encoded differently, which a zero (0.0 == -0.0) or a tier
-    or mode that is not a string allows."""
-    _, _, tier, target, proposed, predicted, modes, _ = entry.values()
-    if type(tier) is not str or not (target and proposed and predicted) or set(map(type, modes)) - {str}:
-        return None
-    inner = json.dumps({key: entry[key] for key in _ANSWER_KEYS[1:-1]})
-    return f', {inner[1:-1]}, "rationale": '
-
-
-def encode_body(body: dict) -> bytes:
-    """``json.dumps(body).encode()``, the bytes of an answer. The
-    answered entries of an advice document that share a decision differ
-    only in ``gop_id`` and ``rationale``, so the rest of such an entry is
-    encoded once and the two strings are spliced in around it. A body
-    of one entry has no decision to share and is encoded whole."""
-    entries = body.get("recommendations")
-    if type(entries) is not list or len(entries) < 2 or tuple(body) != ("recommendations", "savings"):
-        return json.dumps(body).encode()
-    middles: dict[tuple, str | None] = {}
-    parts = []
-    try:
-        for entry in entries:
-            if type(entry) is dict and tuple(entry) == _ANSWER_KEYS:
-                gop_id, cluster, tier, target, proposed, predicted, modes, rationale = entry.values()
-                # 1 == 1.0 == True, so equal numbers may be spelt differently.
-                if (type(cluster) is int and type(modes) is list
-                        and type(target) is type(proposed) is type(predicted) is float):
-                    key = (cluster, tier, target, proposed, predicted, *modes)
-                    try:
-                        middle = middles[key]
-                    except KeyError:
-                        middle = middles[key] = _shared_middle(entry)
-                    if middle is not None:
-                        parts.append(f'{{"gop_id": {encode_basestring_ascii(gop_id)}{middle}'
-                                     f'{encode_basestring_ascii(rationale)}}}')
-                        continue
-            parts.append(json.dumps(entry))
-    except TypeError:  # an unhashable value, or a gop_id or rationale that is no string
-        return json.dumps(body).encode()
-    savings = json.dumps(body["savings"])
-    return f'{{"recommendations": [{", ".join(parts)}], "savings": {savings}}}'.encode()
+def encode_body(body: Advice | dict) -> bytes:
+    """The bytes of an answer: an advice's own encoding, which equals
+    ``json.dumps(advice.document()).encode()``, and ``json.dumps`` of
+    any other body."""
+    if isinstance(body, Advice):
+        return body.encode()
+    return json.dumps(body).encode()
 
 
 class _Exchange:
@@ -241,7 +201,7 @@ class _Exchange:
         self.connection.settimeout(left)
         return self.connection
 
-    def _send(self, status: int, body: dict):
+    def _send(self, status: int, body: Advice | dict):
         data = encode_body(body)
         head = (f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
                 f"Date: {time.strftime('%a, %d %b %Y %H:%M:%S GMT', time.gmtime())}\r\n"

@@ -25,6 +25,7 @@ from rdladder.errors import (
     ValidationError,
 )
 from rdladder.ingest import MEASUREMENT_HEADER
+from rdladder.service import handle_recommend_request
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -492,7 +493,23 @@ def reference_handle(payload, tables) -> tuple[int, dict]:
         except (RDLadderError, TypeError, ValueError) as exc:
             gop_id = entry.get("gop_id") if isinstance(entry, dict) else None
             slots.append({"gop_id": gop_id if isinstance(gop_id, str) else "", "error": str(exc)})
-    document = tables.advise(observation_batch([s for s in slots if isinstance(s, tuple)]), target, modes)
+    advice = tables.advise(observation_batch([s for s in slots if isinstance(s, tuple)]), target, modes)
+    document = advice.document()
     answers = iter(document["recommendations"])
     document["recommendations"] = [s if isinstance(s, dict) else next(answers) for s in slots]
     return 200, document
+
+
+def document_of(status: int, body) -> dict:
+    """The document an answer's bytes must be ``json.dumps`` of: an
+    advice's ``document()``, which a 200 answer always has, and any other
+    body as it is."""
+    assert isinstance(body, rl.Advice) == (status == 200)
+    return body.document() if status == 200 else body
+
+
+def handle_document(payload, tables) -> tuple[int, dict]:
+    """``handle_recommend_request``'s status and body, with an advice
+    given as its document."""
+    status, body = handle_recommend_request(payload, tables)
+    return status, document_of(status, body)

@@ -268,7 +268,7 @@ def test_criterion_9_property_suites(model, config, tmp_path):
     observations = observation_batch(gops)
     for target in sweep:
         for modes in combos:
-            for rec in tables.advise(observations, float(target), modes)["recommendations"]:
+            for rec in tables.advise(observations, float(target), modes).document()["recommendations"]:
                 if not (0 < rec["proposed_bitrate"] <= rec["target_bitrate"]):
                     failures.append(f"unsafe proposal {rec['gop_id']}@{target:.3f} {modes}")
 

@@ -299,7 +299,7 @@ class TestRecommend:
 
     def test_json_is_the_service_encoding(self, training_file, paper_model, capsys):
         # One line, byte for byte what the service answers for the same
-        # advice; only whitespace differs from json.dumps(advice, indent=2).
+        # advice: json.dumps of the advice document.
         rc = cli.main(["recommend", "--paper-model", str(training_file),
                        "--target-bitrate", "2.5", "--format", "json"])
         out = capsys.readouterr().out
@@ -308,7 +308,7 @@ class TestRecommend:
             cli._observations(mset, paper_model), 2.5, rl.Modes(True, True, True))
         assert rc == 0
         assert out.encode() == service.encode_body(advice) + b"\n"
-        assert json.loads(out) == json.loads(json.dumps(advice, indent=2))
+        assert out == json.dumps(advice.document()) + "\n"
 
     def test_trained_model_file_as_source(self, tmp_path, training_file, test2_file, capsys):
         out = tmp_path / "m.json"
@@ -402,6 +402,19 @@ def test_train_leaves_out_numpy_ma(tmp_path, training_file):
             "rc = rdladder.cli.main(['train', sys.argv[1], '--out', sys.argv[2]]); "
             "print(rc, 'numpy.ma' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code, str(training_file), str(tmp_path / "m.json")],
+                          env=package_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_json_recommend_leaves_out_the_service(training_file):
+    # `recommend --format json` prints the service's bytes through the
+    # advice's own encoder, without loading the socket server.
+    code = ("import sys, rdladder.cli; "
+            "rc = rdladder.cli.main(['recommend', '--paper-model', sys.argv[1], "
+            "'--target-bitrate', '2.5', '--format', 'json']); "
+            "print(rc, 'rdladder.service' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(training_file)],
                           env=package_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"

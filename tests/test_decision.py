@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -373,7 +374,7 @@ def on_curve_observation(model_set, cluster, tier, gop_id="g"):
 
 
 def advise_one(tables, obs, modes, target):
-    (entry,) = tables.advise(observation_batch([obs]), target, modes)["recommendations"]
+    (entry,) = tables.advise(observation_batch([obs]), target, modes).document()["recommendations"]
     return entry
 
 
@@ -436,7 +437,8 @@ class TestRecommend:
         for target in targets:
             proposed = {}
             for flags in combos:
-                recs = tables.advise(observations, float(target), rl.Modes(*flags))["recommendations"]
+                advice = tables.advise(observations, float(target), rl.Modes(*flags))
+                recs = advice.document()["recommendations"]
                 for rec in recs:
                     assert rec["proposed_bitrate"] <= rec["target_bitrate"]
                     assert rec["proposed_bitrate"] > 0
@@ -604,7 +606,13 @@ class TestAdvise:
                 except ValidationError as exc:  # an invalid target fails the whole batch
                     return str(exc)
 
-            got = outcome(rl.DecisionTables(model_set, cfg).advise, observations, target, modes)
+            def advised(*args):
+                advice = rl.DecisionTables(model_set, cfg).advise(*args)
+                document = advice.document()
+                assert advice.encode() == json.dumps(document).encode()
+                return document
+
+            got = outcome(advised, observations, target, modes)
             want = outcome(scalar_advise, observations, model_set, cfg, modes, target)
             assert got == want
             assert isinstance(got, str) == (not (math.isfinite(target) and target > 0))
@@ -630,7 +638,7 @@ class TestAdvise:
         assert clusters.tolist() == want_clusters.tolist() and rms.tolist() == want_rms.tolist()
         assert errors == want_errors == [None] * len(gops)
         modes = rl.Modes(trans_size=True, vl=True, nzs=True)
-        assert tables.advise(apart, 2.5, modes) == tables.advise(own, 2.5, modes)
+        assert tables.advise(apart, 2.5, modes).document() == tables.advise(own, 2.5, modes).document()
 
     def test_exact_residual_tie_goes_to_lower_cluster(self):
         base = rl.CubicRD(30.0, 4.0, -0.5, 0.03125, valid_range=(0.2, 6.0))
@@ -647,6 +655,20 @@ class TestAdvise:
         batch = observation_batch([("g", T1080, ((1.0, q1 + 0.5), (3.0, q3 - 0.25)))])
         clusters, _, errors = rl.DecisionTables(model_set, rl.DecisionConfig()).assign(batch)
         assert clusters.tolist() == [1] and errors == [None]
+
+    def test_encodes_tier_names_that_need_escaping(self):
+        # A library caller may name tiers freely; the names reach the JSON
+        # as "tier" and inside the rationale's notes.
+        low, high = rl.ResolutionTier(360, 'low "é"'), rl.ResolutionTier(1080, "high\\\t\U0001f600")
+        a = rl.CubicRD(30.0, 5.0, -1.0, 0.1, valid_range=(0.2, 6.0))
+        b = rl.CubicRD(34.0, 1.0, 0.0, 0.1, valid_range=(0.2, 6.0))
+        tables = rl.DecisionTables(model_set_of({(1, low): b, (1, high): a}), rl.DecisionConfig())
+        batch = observation_batch([("g0", high, ((1.0, 33.0),)), ("g1", low, ((1.0, 35.0),))])
+        advice = tables.advise(batch, 0.5, rl.Modes(trans_size=True))
+        document = advice.document()
+        assert {entry["tier"] for entry in document["recommendations"]} == {low.name}
+        assert advice.encode() == json.dumps(document).encode()
+        assert b'trans-size high\\\\\\t\\ud83d\\ude00 -> low \\"\\u00e9\\"' in advice.encode()
 
 
 class TestSavings:
@@ -724,8 +746,8 @@ def test_label_permutation_leaves_recommendations_unchanged(paper_model, cfg):
     observations = observation_batch(
         [on_curve_observation(paper_model, c, T1080) for c in paper_model.clusters]
     )
-    originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes)
-    renamed_all = shuffled.advise(observations, 3.0, modes)
+    originals = rl.DecisionTables(paper_model, cfg).advise(observations, 3.0, modes).document()
+    renamed_all = shuffled.advise(observations, 3.0, modes).document()
     for original, renamed in zip(originals["recommendations"], renamed_all["recommendations"]):
         assert renamed["cluster"] == permutation[original["cluster"]]
         assert renamed["tier"] == original["tier"]

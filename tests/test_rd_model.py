@@ -11,9 +11,8 @@ from rdladder.errors import (
     ValidationError,
 )
 from rdladder.ingest import MEASUREMENT_HEADER
-from rdladder.service import handle_recommend_request
 
-from helpers import central_difference, curve_points
+from helpers import central_difference, curve_points, handle_document
 
 
 def test_tier_ordering_and_parse():
@@ -46,7 +45,7 @@ def test_tier_names_must_be_canonical(name, tables):
     with pytest.raises(ParseError, match="line 3: unknown resolution tier"):
         rl.parse_measurements(csv)
     gop = {"gop_id": "bad", "tier": name, "points": [[1.0, 30.0]]}
-    status, body = handle_recommend_request(
+    status, body = handle_document(
         {"target_bitrate": 3.0, "modes": ["vl"], "gops": [gop]}, tables
     )
     assert status == 200

@@ -15,11 +15,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rdladder as rl
 from rdladder import service
-from rdladder.decision import MAX_TARGET_BITRATE
+from rdladder.decision import FLOAT_KERNEL_LIMIT, MAX_TARGET_BITRATE
 from rdladder.service import (
     MAX_BODY_BYTES,
     WORKERS,
@@ -28,7 +28,7 @@ from rdladder.service import (
     make_server,
 )
 
-from helpers import package_env, reference_handle
+from helpers import document_of, handle_document, package_env, reference_handle
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -51,7 +51,7 @@ def request_payload(model_set, clusters=(6,), target=3.0, modes=("vl",)):
 
 class TestHandleRequest:
     def test_happy_path(self, paper_model, tables):
-        status, body = handle_recommend_request(request_payload(paper_model, clusters=(6,)), tables)
+        status, body = handle_document(request_payload(paper_model, clusters=(6,)), tables)
         assert status == 200
         rec = body["recommendations"][0]
         assert rec["cluster"] == 6
@@ -61,15 +61,15 @@ class TestHandleRequest:
     def test_zero_gops_rejected(self, paper_model, tables):
         payload = request_payload(paper_model)
         payload["gops"] = []
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 400 and "gops" in body["error"]
 
     def test_bad_modes_rejected(self, paper_model, tables):
         payload = request_payload(paper_model, modes=("warp",))
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 400 and "warp" in body["error"]
         payload = request_payload(paper_model, modes=())
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 400
 
     @pytest.mark.parametrize("modes, unknown", [
@@ -80,21 +80,21 @@ class TestHandleRequest:
     ])
     def test_each_mode_must_be_an_exact_name(self, paper_model, tables, modes, unknown):
         payload = request_payload(paper_model, modes=modes)
-        assert handle_recommend_request(payload, tables) == (
+        assert handle_document(payload, tables) == (
             400, {"error": f"unknown mode(s): {unknown}"}
         )
 
     def test_repeated_mode_names_are_accepted(self, paper_model, tables):
-        once = handle_recommend_request(request_payload(paper_model, modes=("vl",)), tables)
-        twice = handle_recommend_request(request_payload(paper_model, modes=("vl", "vl")), tables)
+        once = handle_document(request_payload(paper_model, modes=("vl",)), tables)
+        twice = handle_document(request_payload(paper_model, modes=("vl", "vl")), tables)
         assert once == twice and once[0] == 200
 
     def test_bad_target_rejected(self, paper_model, tables):
         payload = request_payload(paper_model, target=-1.0)
-        status, _ = handle_recommend_request(payload, tables)
+        status, _ = handle_document(payload, tables)
         assert status == 400
         payload["target_bitrate"] = "three"
-        status, _ = handle_recommend_request(payload, tables)
+        status, _ = handle_document(payload, tables)
         assert status == 400
 
     @pytest.mark.parametrize(
@@ -104,7 +104,7 @@ class TestHandleRequest:
     def test_target_must_be_finite_and_positive(self, paper_model, tables, target):
         payload = request_payload(paper_model)
         payload["target_bitrate"] = target
-        assert handle_recommend_request(payload, tables) == (
+        assert handle_document(payload, tables) == (
             400, {"error": "target_bitrate must be finite and > 0"}
         )
 
@@ -114,12 +114,12 @@ class TestHandleRequest:
         for modes in (["nzs"], ["vl"], ["trans_size", "vl", "nzs"]):
             payload = request_payload(paper_model, clusters=(6, 1), target=MAX_TARGET_BITRATE,
                                       modes=modes)
-            status, body = handle_recommend_request(payload, tables)
+            status, body = handle_document(payload, tables)
             assert status == 200
             json.loads(json.dumps(body), parse_constant=pytest.fail)
             for target in (float(np.nextafter(MAX_TARGET_BITRATE, np.inf)), 1e120, 1e308):
                 payload["target_bitrate"] = target
-                assert handle_recommend_request(payload, tables) == (
+                assert handle_document(payload, tables) == (
                     400, {"error": "target_bitrate must be at most 1e+06 Mbps"}
                 )
 
@@ -127,7 +127,7 @@ class TestHandleRequest:
     def test_target_must_be_a_json_number(self, paper_model, tables, target):
         payload = request_payload(paper_model)
         payload["target_bitrate"] = target
-        assert handle_recommend_request(payload, tables) == (
+        assert handle_document(payload, tables) == (
             400, {"error": "target_bitrate must be a number"}
         )
 
@@ -136,7 +136,7 @@ class TestHandleRequest:
         for position in (0, 1):
             payload = request_payload(paper_model, clusters=(6, 5))
             payload["gops"][1]["points"][1][position] = coordinate
-            status, body = handle_recommend_request(payload, tables)
+            status, body = handle_document(payload, tables)
             assert status == 200
             assert body["recommendations"][0]["cluster"] == 6
             assert body["recommendations"][1] == {
@@ -147,14 +147,14 @@ class TestHandleRequest:
     def test_integer_too_large_for_a_float_is_infinite(self, paper_model, tables):
         payload = request_payload(paper_model)
         payload["gops"][0]["points"][0][0] = -10**400
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 200
         assert body["recommendations"][0]["error"] == "bitrate must be finite and > 0, got -inf"
 
     def test_per_gop_error_does_not_abort_batch(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(6, 5))
         payload["gops"][1]["tier"] = "1440p"  # not in the model
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 200
         first, second = body["recommendations"]
         assert first["cluster"] == 6
@@ -165,7 +165,7 @@ class TestHandleRequest:
         payload = request_payload(paper_model, clusters=(6, 5))
         payload["gops"][0]["points"] = "none"
         payload["gops"][1]["points"][0][0] = -1.0
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 200
         assert body == {
             "recommendations": [
@@ -177,7 +177,7 @@ class TestHandleRequest:
 
     def test_response_order_matches_request(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(5, 6, 1))
-        status, body = handle_recommend_request(payload, tables)
+        status, body = handle_document(payload, tables)
         assert status == 200
         assert [r["gop_id"] for r in body["recommendations"]] == ["g0", "g1", "g2"]
         assert [r["cluster"] for r in body["recommendations"]] == [5, 6, 1]
@@ -682,12 +682,13 @@ class TestHandleRequestMatchesReference:
     )
     def test_status_and_body(self, tables, target, modes, gops):
         payload = {"target_bitrate": target, "modes": modes, "gops": gops}
-        assert handle_recommend_request(payload, tables) == reference_handle(payload, tables)
+        assert handle_document(payload, tables) == reference_handle(payload, tables)
 
 
 class TestEncodeBodyMatchesJsonDumps:
-    """The spliced encoder against ``json.dumps`` on the reference test's
-    payloads, which mix well-formed and malformed GOPs."""
+    """The advice encoder against ``json.dumps`` of the advice document,
+    and error bodies against ``json.dumps`` of themselves, on the
+    reference test's payloads, which mix well-formed and malformed GOPs."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -697,8 +698,8 @@ class TestEncodeBodyMatchesJsonDumps:
     )
     def test_bytes(self, tables, target, modes, gops):
         payload = {"target_bitrate": target, "modes": modes, "gops": gops}
-        _, body = handle_recommend_request(payload, tables)
-        assert encode_body(body) == json.dumps(body).encode()
+        status, body = handle_recommend_request(payload, tables)
+        assert encode_body(body) == json.dumps(document_of(status, body)).encode()
 
 
 # GOP ids that repeat, need escaping or are not ASCII.
@@ -714,14 +715,27 @@ COORDINATES = st.one_of(
     st.just(2**53 + 1),  # rounds to 2**53 as a float
 )
 PAIRS = st.tuples(COORDINATES, COORDINATES)
-WELL_FORMED_GOPS = st.lists(
+WELL_FORMED_GOP = st.fixed_dictionaries({
+    "gop_id": GOP_IDS,
+    "tier": st.sampled_from(["1080p", "720p", "540p", "360p"]),
+    "points": st.lists(st.one_of(PAIRS.map(list), PAIRS), min_size=1, max_size=5),
+})
+WELL_FORMED_GOPS = st.lists(WELL_FORMED_GOP, min_size=1, max_size=64)
+# Well-formed GOPs the batch cannot answer: a tier the model lacks, or a
+# point with a bitrate <= 0 or a value that is not finite.
+UNANSWERED_GOP = st.one_of(
+    st.fixed_dictionaries({
+        "gop_id": GOP_IDS,
+        "tier": st.sampled_from(["1440p", "2160p"]),
+        "points": st.lists(PAIRS.map(list), min_size=1, max_size=3),
+    }),
     st.fixed_dictionaries({
         "gop_id": GOP_IDS,
         "tier": st.sampled_from(["1080p", "720p", "540p", "360p"]),
-        "points": st.lists(st.one_of(PAIRS.map(list), PAIRS), min_size=1, max_size=5),
+        "points": st.lists(st.sampled_from([[0, 30.0], [-1.0, 30.0], [1.0, float("nan")],
+                                            [float("inf"), 40.0], [2.0, -float("inf")]]),
+                           min_size=1, max_size=3),
     }),
-    min_size=1,
-    max_size=64,
 )
 # Values that make a well-formed batch fall back to the per-entry walk.
 NOT_BULK = st.sampled_from([True, False, 10**400, -10**400])
@@ -749,10 +763,48 @@ class TestWellFormedBatches:
             point[position] = value
             points[p % len(points)] = point
         assert (service._bulk_batch(gops) is None) == (spoil is not None)
-        payload = {"target_bitrate": target, "modes": modes, "gops": gops}
-        status, body = handle_recommend_request(payload, tables)
-        assert (status, body) == reference_handle(payload, tables)
-        assert encode_body(body) == json.dumps(body).encode()
+        assert_encoded_as_reference({"target_bitrate": target, "modes": modes, "gops": gops}, tables)
+
+
+def assert_encoded_as_reference(payload, tables) -> dict:
+    """Asserts that the handler answers ``payload`` as the reference does,
+    in the bytes of ``json.dumps`` of its document; returns the document."""
+    status, body = handle_recommend_request(payload, tables)
+    document = document_of(status, body)
+    assert (status, document) == reference_handle(payload, tables)
+    assert encode_body(body) == json.dumps(document).encode()
+    return document
+
+
+class TestLargeAndUnansweredBatches:
+    """The advice encoder against ``json.dumps`` of the advice document,
+    and the document against the reference, on batches that the numpy
+    pass assigns and on batches in which no GOP is answered."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                                     HealthCheck.large_base_example])
+    @given(
+        target=st.floats(0.1, 8.0),
+        modes=st.sampled_from(MODE_LISTS),
+        gops=st.lists(st.one_of(WELL_FORMED_GOP, WELL_FORMED_GOP, WELL_FORMED_GOP, UNANSWERED_GOP),
+                      min_size=FLOAT_KERNEL_LIMIT // 6 + 1, max_size=160),
+    )
+    def test_above_the_float_kernel_limit(self, paper_model, tables, target, modes, gops):
+        assert sum(len(gop["points"]) for gop in gops) * paper_model.k >= FLOAT_KERNEL_LIMIT
+        assert_encoded_as_reference({"target_bitrate": target, "modes": modes, "gops": gops}, tables)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        target=st.floats(0.1, 8.0),
+        modes=st.sampled_from(MODE_LISTS),
+        gops=st.lists(UNANSWERED_GOP, min_size=1, max_size=60),
+    )
+    def test_no_answered_gop(self, tables, target, modes, gops):
+        document = assert_encoded_as_reference(
+            {"target_bitrate": target, "modes": modes, "gops": gops}, tables)
+        assert document["savings"] is None
+        assert all(set(entry) == {"gop_id", "error"} for entry in document["recommendations"])
 
 
 def benchmark_shaped_payload(model_set, seed: int, n_gops: int) -> dict:
@@ -778,20 +830,23 @@ class TestEncodeBody:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_shaped_batch(self, paper_model, tables, seed):
         payload = benchmark_shaped_payload(paper_model, seed, 1000)
-        status, body = handle_recommend_request(payload, tables)
-        assert status == 200 and all("error" not in e for e in body["recommendations"])
-        assert encode_body(body) == json.dumps(body).encode()
+        status, advice = handle_recommend_request(payload, tables)
+        document = document_of(status, advice)
+        assert all("error" not in e for e in document["recommendations"])
+        assert encode_body(advice) == json.dumps(document).encode()
 
     def test_each_decision_is_encoded_once(self, paper_model, tables, monkeypatch):
-        _, body = handle_recommend_request(benchmark_shaped_payload(paper_model, 4, 1000), tables)
-        decisions = {json.dumps({k: v for k, v in e.items() if k not in ("gop_id", "rationale")})
-                     for e in body["recommendations"]}
+        payload = benchmark_shaped_payload(paper_model, 4, 1000)
+        _, advice = handle_recommend_request(payload, tables)
+        document = advice.document()
+        decisions = {(entry["cluster"], gop["tier"])
+                     for entry, gop in zip(document["recommendations"], payload["gops"])}
         calls = []
         dumps = json.dumps
-        monkeypatch.setattr(service.json, "dumps", lambda obj: calls.append(obj) or dumps(obj))
-        data = encode_body(body)
+        monkeypatch.setattr(json, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+        data = encode_body(advice)
         monkeypatch.undo()
-        assert data == json.dumps(body).encode()
+        assert data == json.dumps(document).encode()
         assert len(calls) == len(decisions) + 1  # and the savings
 
     def test_all_error_batch(self, paper_model, tables):
@@ -799,49 +854,27 @@ class TestEncodeBody:
         payload["gops"][0]["points"][0][0] = -1.0
         payload["gops"][1]["tier"] = "1440p"
         payload["gops"][2]["points"] = []
-        status, body = handle_recommend_request(payload, tables)
-        assert status == 200 and body["savings"] is None
-        assert all(set(e) == {"gop_id", "error"} for e in body["recommendations"])
-        assert encode_body(body) == json.dumps(body).encode()
+        status, advice = handle_recommend_request(payload, tables)
+        document = document_of(status, advice)
+        assert document["savings"] is None
+        assert all(set(e) == {"gop_id", "error"} for e in document["recommendations"])
+        assert encode_body(advice) == json.dumps(document).encode()
 
     def test_gop_ids_that_need_escaping(self, paper_model, tables):
-        payload = request_payload(paper_model, clusters=(6, 6, 5))
-        for entry, gop_id in zip(payload["gops"], ['say "hi"', "back\\slash", "line\u2028sep"]):
+        payload = request_payload(paper_model, clusters=(6, 6, 5, 4, 4))
+        gop_ids = ['say "hi"', "back\\slash", "line\u2028sep", "tab\tnul\x00", "caf\u00e9 \U0001f600"]
+        for entry, gop_id in zip(payload["gops"], gop_ids):
             entry["gop_id"] = gop_id
-        status, body = handle_recommend_request(payload, tables)
-        assert status == 200
-        data = encode_body(body)
-        assert data == json.dumps(body).encode()
+        status, advice = handle_recommend_request(payload, tables)
+        document = document_of(status, advice)
+        data = encode_body(advice)
+        assert data == json.dumps(document).encode()
         assert b'"say \\"hi\\""' in data and b"line\\u2028sep" in data
+        assert b'"tab\\tnul\\u0000"' in data and b'"caf\\u00e9 \\ud83d\\ude00"' in data
 
     @pytest.mark.parametrize("body", [
         {"error": "gops must be a non-empty list"},
         {"savings": None, "recommendations": []},
-        # Equal values that JSON spells differently must not share an encoding.
-        {"recommendations": [
-            {"gop_id": "a", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 0.0, "modes_applied": ["vl"], "rationale": "r"},
-            {"gop_id": "b", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": -0.0, "modes_applied": ["vl"], "rationale": "r"},
-            {"gop_id": "c", "cluster": True, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
-            {"gop_id": "d", "cluster": 1, "tier": "720p", "target_bitrate": 1,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
-            {"gop_id": "e", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
-            {"gop_id": "f", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [1], "rationale": "r"},
-            {"gop_id": "g", "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [True], "rationale": "r"},
-            {"gop_id": 7, "cluster": 1, "tier": "720p", "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": ["vl"], "rationale": "r"},
-        ], "savings": None},
-        {"recommendations": [
-            {"gop_id": "a", "cluster": 1, "tier": ["720p"], "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [], "rationale": "r"},
-            {"gop_id": "b", "tier": "720p", "cluster": 1, "target_bitrate": 1.0,
-             "proposed_bitrate": 0.5, "predicted_psnr": 40.0, "modes_applied": [], "rationale": "r"},
-        ], "savings": {"total_target": 2.0}},
     ])
     def test_bodies_not_from_advise(self, body):
         assert encode_body(body) == json.dumps(body).encode()

@@ -34,8 +34,8 @@ def main() -> int:
     for target in np.linspace(args.lo, args.hi, args.steps):
         target = float(target)
         for cluster in model_set.clusters:
-            _, vl, *_ = tables.decide(cluster, tier, target, vl_only)
-            _, nzs, *_ = tables.decide(cluster, tier, target, nzs_only)
+            vl = tables.decide(cluster, tier, target, vl_only).proposed
+            nzs = tables.decide(cluster, tier, target, nzs_only).proposed
             vl_saving = rl.savings_report([(target, vl)])["saving_percent"]
             nzs_saving = rl.savings_report([(target, nzs)])["saving_percent"]
             print(f"{target:.3f},{cluster},{vl:.3f},{vl_saving:.2f},{nzs:.3f},{nzs_saving:.2f}")

@@ -287,9 +287,9 @@ def savings_report(pairs: Sequence[tuple[float, float]]) -> dict:
 
 
 class Decision(NamedTuple):
-    """The answer for every GOP of ``cluster`` measured at one native
-    tier: ``DecisionTables.decide``'s tier, proposed bitrate, modes
-    applied and predicted PSNR, and ``notes``, its notes as the text that
+    """What ``DecisionTables.decide`` answers for every GOP of ``cluster``
+    measured at one native tier: the tier chosen, the proposed bitrate,
+    the modes applied, the predicted PSNR, and ``notes``, the text that
     ends each such GOP's rationale ("; " before each note)."""
 
     cluster: int
@@ -601,24 +601,22 @@ class DecisionTables:
                 continue
             choice = seen.get((cluster, native))
             if choice is None:
-                tier, bitrate, applied, predicted, notes = self.decide(cluster, native, target_r, modes)
                 choice = seen[(cluster, native)] = len(decisions)
-                decisions.append(Decision(cluster, tier, bitrate, applied, predicted,
-                                          "; ".join(("", *notes))))
+                decisions.append(self.decide(cluster, native, target_r, modes))
             choices.append(choice)
         proposed = [decision.proposed for decision in decisions]
         pairs = [(target_r, proposed[choice]) for choice in choices if choice >= 0]
         return Advice(batch.gop_ids, target_r, rms.tolist(), errors, choices, decisions,
                       savings_report(pairs) if pairs else None)
 
-    def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes):
-        """(tier, proposed bitrate, modes applied, predicted PSNR, notes)
-        for every GOP of ``cluster`` measured at ``native``: the ladder's
-        tier when trans-sizing is on (the native one otherwise), then the
-        target capped at the visually-lossless threshold when one exists
-        below it, then dropped to the near-zero-slope interval's lower end
-        when it lies inside that interval (endpoints inclusive). The
-        proposed bitrate is checked to lie in (0, target]."""
+    def decide(self, cluster: int, native: ResolutionTier, target_r: float, modes: Modes) -> Decision:
+        """The ``Decision`` for every GOP of ``cluster`` measured at
+        ``native``: the ladder's tier when trans-sizing is on (the native
+        one otherwise), then the target capped at the visually-lossless
+        threshold when one exists below it, then dropped to the
+        near-zero-slope interval's lower end when it lies inside that
+        interval (endpoints inclusive). The proposed bitrate is checked
+        to lie in (0, target]."""
         check_target(target_r)
         self.model_set.model(cluster, native)  # rejects an unknown cluster or tier
         notes: list[str] = []
@@ -655,4 +653,4 @@ class DecisionTables:
         predicted = eval_cubic(final_model, bitrate)
         if not final_model.covers(bitrate):
             notes.append("prediction extrapolates beyond the fitted bitrate span")
-        return tier, bitrate, tuple(applied), predicted, tuple(notes)
+        return Decision(cluster, tier, bitrate, tuple(applied), predicted, "; ".join(("", *notes)))

@@ -25,7 +25,7 @@ from http import HTTPStatus
 from .clustering import ClusterModelSet
 from .decision import Advice, DecisionConfig, DecisionTables, Modes, ObservationBatch, check_target
 from .errors import ValidationError
-from .tiers import ResolutionTier, tier_from_name
+from .tiers import tier_from_name
 
 RECOMMEND_PATH = "/v1/recommend"
 # Longest request body read (bytes); a longer declared Content-Length is
@@ -58,90 +58,51 @@ def _number(value) -> float | None:
         return math.inf if value > 0 else -math.inf
 
 
-def _gop_fields(entry, index: int) -> tuple[ResolutionTier, list[tuple[float, float]]]:
-    """One request GOP's tier and (bitrate, psnr) points; ValidationError
-    names what is malformed."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"gops[{index}] must be an object")
-    gop_id = entry.get("gop_id")
-    if not isinstance(gop_id, str) or not gop_id:
-        raise ValidationError(f"gops[{index}]: gop_id must be a non-empty string")
-    tier_name = entry.get("tier")
-    if not isinstance(tier_name, str):
-        raise ValidationError(f"gops[{index}]: tier must be a string")
-    tier = tier_from_name(tier_name)
-    points = entry.get("points")
-    if not isinstance(points, list) or not points:
-        raise ValidationError(f"gops[{index}]: points must be a non-empty list")
-    pairs = []
-    for p in points:
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair")
-        pair = (_number(p[0]), _number(p[1]))
-        if None in pair:
-            raise ValidationError(
-                f"gops[{index}]: each point must be a [bitrate, psnr] pair of numbers"
-            )
-        pairs.append(pair)
-    return tier, pairs
-
-
-def _bulk_batch(gops: list) -> ObservationBatch | None:
-    """The batch of a request whose every GOP is well formed, checked and
-    converted in one pass over the GOPs and their points; None when any
-    GOP is malformed or holds an integer too large for a float. The checks
-    are ``_gop_fields``'s, by exact type, so bools are not numbers here."""
-    gop_ids, tiers, offsets, bitrates, psnr = [], [], [0], [], []
-    try:
-        for entry in gops:
-            if type(entry) is not dict:
-                return None
-            gop_id, tier_name, points = entry.get("gop_id"), entry.get("tier"), entry.get("points")
-            if (type(gop_id) is not str or not gop_id or type(tier_name) is not str
-                    or type(points) is not list or not points):
-                return None
-            gop_ids.append(gop_id)
-            tiers.append(tier_from_name(tier_name))
+def _observation_batch(gops: list) -> ObservationBatch:
+    """The request's GOPs as one batch, in request order, checked and
+    converted in one pass. A malformed entry gets the message of its
+    first fault in ``errors``, no points and no tier, and keeps its
+    ``gop_id`` when that is a string ("" otherwise: a number could be NaN
+    or infinite, which the answer's JSON cannot carry). The common point,
+    a list of two floats, is checked by exact type first; any other
+    coordinate is converted by ``_number``, so bools are not numbers."""
+    gop_ids, tiers, errors, offsets, bitrates, psnr = [], [], [None] * len(gops), [0], [], []
+    for index, entry in enumerate(gops):
+        gop_id = None
+        try:
+            if not isinstance(entry, dict):
+                raise ValidationError(f"gops[{index}] must be an object")
+            gop_id = entry.get("gop_id")
+            if not isinstance(gop_id, str) or not gop_id:
+                raise ValidationError(f"gops[{index}]: gop_id must be a non-empty string")
+            tier_name = entry.get("tier")
+            if not isinstance(tier_name, str):
+                raise ValidationError(f"gops[{index}]: tier must be a string")
+            tier = tier_from_name(tier_name)
+            points = entry.get("points")
+            if not isinstance(points, list) or not points:
+                raise ValidationError(f"gops[{index}]: points must be a non-empty list")
             for pair in points:
-                if type(pair) is not list and type(pair) is not tuple or len(pair) != 2:
-                    return None
+                if (type(pair) is not list and not isinstance(pair, (list, tuple))) or len(pair) != 2:
+                    raise ValidationError(f"gops[{index}]: each point must be a [bitrate, psnr] pair")
                 r, q = pair
                 if type(r) is not float or type(q) is not float:
-                    if not {type(r), type(q)} <= {int, float}:
-                        return None
-                    r, q = float(r), float(q)
+                    r, q = _number(r), _number(q)
+                    if r is None or q is None:
+                        raise ValidationError(
+                            f"gops[{index}]: each point must be a [bitrate, psnr] pair of numbers")
                 bitrates.append(r)
                 psnr.append(q)
-            offsets.append(len(bitrates))
-    except (ValidationError, OverflowError):  # an unknown tier, an integer beyond the float range
-        return None
-    return ObservationBatch(gop_ids, tiers, offsets, bitrates, psnr, [None] * len(gops))
-
-
-def _observation_batch(gops: list) -> ObservationBatch:
-    """The request's GOPs as one batch, in request order. A malformed
-    entry gets its message in ``errors``, no points and no tier, and
-    keeps its ``gop_id`` when that is a string ("" otherwise: a number
-    could be NaN or infinite, which the answer's JSON cannot carry).
-    A batch with no malformed entry is converted in one pass; the
-    others are walked entry by entry."""
-    batch = _bulk_batch(gops)
-    if batch is not None:
-        return batch
-    gop_ids, tiers, errors, offsets, points = [], [], [], [0], []
-    for index, entry in enumerate(gops):
-        gop_id = entry.get("gop_id") if isinstance(entry, dict) else None
-        gop_ids.append(gop_id if isinstance(gop_id, str) else "")
-        try:
-            tier, pairs = _gop_fields(entry, index)
-            error = None
-        except ValidationError as exc:
-            tier, pairs, error = None, [], str(exc)
-        tiers.append(tier)
-        errors.append(error)
-        points += pairs
-        offsets.append(len(points))
-    return ObservationBatch(gop_ids, tiers, offsets, [r for r, _ in points], [q for _, q in points], errors)
+        except ValidationError as exc:  # the GOP gives back the points it appended
+            del bitrates[offsets[-1]:], psnr[offsets[-1]:]
+            gop_ids.append(gop_id if isinstance(gop_id, str) else "")
+            tiers.append(None)
+            errors[index] = str(exc)
+        else:
+            gop_ids.append(gop_id)
+            tiers.append(tier)
+        offsets.append(len(bitrates))
+    return ObservationBatch(gop_ids, tiers, offsets, bitrates, psnr, errors)
 
 
 def handle_recommend_request(payload, tables: DecisionTables) -> tuple[int, Advice | dict]:
@@ -244,9 +205,9 @@ class _Exchange:
         length_field = self.headers.get("content-length")
         if length_field is None:
             return self._send(411, {"error": "Content-Length required"})
-        try:
-            length = int(length_field)
-        except ValueError:
+        try:  # ASCII digits only: int() also reads "+5" and "1_0"
+            length = int(length_field) if length_field.isascii() and length_field.isdigit() else -1
+        except ValueError:  # more digits than int() converts
             length = -1
         if length < 0:
             return self._send(400, {"error": "Content-Length must be a non-negative integer"})

@@ -263,7 +263,7 @@ def _scenario_rows(tables, section, modes, scenarios, discrepancies, published_f
 
     def pairs(video, target):
         return [
-            (target, tables.decide(cluster, tier_1080, target, modes)[1])
+            (target, tables.decide(cluster, tier_1080, target, modes).proposed)
             for cluster in SCENARIO_CLUSTERS[video]
         ]
 

@@ -126,7 +126,7 @@ def test_criterion_4_vl_savings_reproduction(model, config):
     }
     by_video = {
         video: rl.savings_report([
-            (targets[video], tables.decide(c, T1080, targets[video], vl_only)[1])
+            (targets[video], tables.decide(c, T1080, targets[video], vl_only).proposed)
             for c in SCENARIO_CLUSTERS[video]
         ])
         for video in targets
@@ -155,7 +155,7 @@ def test_criterion_5_nzs_savings_reproduction(model, config):
     details = []
     for video, (target, want_total, want_saving) in cases.items():
         proposed = [
-            tables.decide(c, T1080, target, nzs_only)[1]
+            tables.decide(c, T1080, target, nzs_only).proposed
             for c in SCENARIO_CLUSTERS[video]
         ]
         total = sum(proposed)

@@ -330,25 +330,28 @@ def test_decision_config_requires_finite_positive_values(field, value):
 class TestBitrateRules:
     def test_vl_cap(self, tables):
         vl_only = rl.Modes(vl=True)
-        _, capped, applied, predicted, _ = tables.decide(6, T1080, 3.0, vl_only)
-        assert capped == pytest.approx(0.429, abs=0.005)
-        assert applied == ("vl",) and predicted == pytest.approx(40.0)
-        assert tables.decide(1, T1080, 3.0, vl_only)[1:3] == (3.0, ())  # cap above target
-        assert tables.decide(4, T1080, 1.0, vl_only)[1:3] == (1.0, ())  # target below cap
+        capped = tables.decide(6, T1080, 3.0, vl_only)
+        assert capped.proposed == pytest.approx(0.429, abs=0.005)
+        assert capped.applied == ("vl",) and capped.predicted == pytest.approx(40.0)
+        for cluster, target in ((1, 3.0), (4, 1.0)):  # cap above target, target below cap
+            uncapped = tables.decide(cluster, T1080, target, vl_only)
+            assert (uncapped.proposed, uncapped.applied) == (target, ())
 
     def test_nzs_reduction(self, tables):
         nzs_only = rl.Modes(nzs=True)
         _, upper = tables.nzs[(6, T1080)]
-        _, reduced, applied, _, _ = tables.decide(6, T1080, upper, nzs_only)
-        assert reduced == pytest.approx(3.293, abs=0.02) and applied == ("nzs",)
-        assert tables.decide(4, T1080, 4.0, nzs_only)[1:3] == (4.0, ())  # no interval
-        assert tables.decide(5, T1080, 5.5, nzs_only)[1:3] == (5.5, ())  # above the interval
+        reduced = tables.decide(6, T1080, upper, nzs_only)
+        assert reduced.proposed == pytest.approx(3.293, abs=0.02) and reduced.applied == ("nzs",)
+        for cluster, target in ((4, 4.0), (5, 5.5)):  # no interval, above the interval
+            kept = tables.decide(cluster, T1080, target, nzs_only)
+            assert (kept.proposed, kept.applied) == (target, ())
 
     def test_resolution_rule(self, tables):
         trans_size = rl.Modes(trans_size=True)
-        assert tables.decide(3, T1080, 0.2, trans_size)[0] == T360
-        assert tables.decide(3, T1080, 1.0, trans_size)[0] == T720
-        assert tables.decide(6, T1080, 1.0, trans_size)[:3] == (T1080, 1.0, ())
+        assert tables.decide(3, T1080, 0.2, trans_size).tier == T360
+        assert tables.decide(3, T1080, 1.0, trans_size).tier == T720
+        kept = tables.decide(6, T1080, 1.0, trans_size)
+        assert (kept.tier, kept.proposed, kept.applied) == (T1080, 1.0, ())
 
     @pytest.mark.parametrize(
         "cluster,tier,target",
@@ -425,7 +428,8 @@ class TestRecommend:
             tables.advise(batch, above, rl.Modes(vl=True))
         with pytest.raises(ValidationError, match=r"target bitrate must be at most 1e\+06 Mbps"):
             tables.decide(6, T1080, above, rl.Modes(vl=True))
-        assert tables.decide(6, T1080, MAX_TARGET_BITRATE, rl.Modes(vl=True))[1] < MAX_TARGET_BITRATE
+        at_bound = tables.decide(6, T1080, MAX_TARGET_BITRATE, rl.Modes(vl=True))
+        assert at_bound.proposed < MAX_TARGET_BITRATE
 
     def test_proposed_never_exceeds_target_and_mode_monotonicity(self, paper_model, tables):
         combos = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
@@ -679,7 +683,7 @@ class TestSavings:
         }
         by_video = {
             video: rl.savings_report([
-                (target, tables.decide(c, T1080, target, rl.Modes(vl=True))[1]) for c in clusters
+                (target, tables.decide(c, T1080, target, rl.Modes(vl=True)).proposed) for c in clusters
             ])
             for video, (clusters, target) in scenarios.items()
         }
@@ -689,7 +693,7 @@ class TestSavings:
         assert by_video["Test_10"]["saving_percent"] == pytest.approx(43.73, abs=0.1)
 
     def test_reference_nzs_scenario(self, tables):
-        proposed = tables.decide(6, T1080, 4.575, rl.Modes(nzs=True))[1]
+        proposed = tables.decide(6, T1080, 4.575, rl.Modes(nzs=True)).proposed
         rows = [(4.575, proposed)] * 10
         report = rl.savings_report(rows)
         assert report["total_proposed"] == pytest.approx(32.93, abs=0.05)

@@ -161,6 +161,24 @@ class TestHandleRequest:
         assert "error" in second and second["gop_id"] == "g1"
         assert body["savings"]["total_target"] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("point,error", [
+        ([True, 30.0], "each point must be a [bitrate, psnr] pair of numbers"),
+        (["3.0", 30.0], "each point must be a [bitrate, psnr] pair of numbers"),
+        ([3.0, 30.0, 1.0], "each point must be a [bitrate, psnr] pair"),
+    ])
+    def test_gop_malformed_after_good_points_owns_none(self, paper_model, tables, point, error):
+        payload = request_payload(paper_model, clusters=(6, 5, 4))
+        payload["gops"][1]["points"][2] = point
+        batch = service._observation_batch(payload["gops"])
+        assert batch.offsets == [0, 3, 3, 6] and batch.tiers[1] is None
+        assert batch.bitrates == [r for gop in payload["gops"][::2] for r, _ in gop["points"]]
+        status, body = handle_document(payload, tables)
+        assert status == 200
+        assert body["recommendations"][1] == {"gop_id": "g1", "error": f"gops[1]: {error}"}
+        for index in (0, 2):
+            alone = handle_document({**payload, "gops": [payload["gops"][index]]}, tables)[1]
+            assert body["recommendations"][index] == alone["recommendations"][0]
+
     def test_no_answered_gop_gives_null_savings(self, paper_model, tables):
         payload = request_payload(paper_model, clusters=(6, 5))
         payload["gops"][0]["points"] = "none"
@@ -241,9 +259,10 @@ class TestLiveServer:
         assert "JSON" in json.loads(raw)["error"]
 
     def test_negative_content_length_is_answered_without_reading(self, server):
-        status, body = raw_post(server, b"-1", b"{}")
-        assert status == b"400"
-        assert json.loads(body) == {"error": "Content-Length must be a non-negative integer"}
+        for length in (b"-1", b"1_0", b"+5"):  # int() would read "1_0" as 10 and "+5" as 5
+            status, body = raw_post(server, length, b"{}")
+            assert status == b"400", length
+            assert json.loads(body) == {"error": "Content-Length must be a non-negative integer"}
 
     def test_missing_content_length_is_411(self, server):
         status, body = raw_post(server, None, b"")
@@ -737,15 +756,15 @@ UNANSWERED_GOP = st.one_of(
                            min_size=1, max_size=3),
     }),
 )
-# Values that make a well-formed batch fall back to the per-entry walk.
+# Coordinates that are not floats: a bool is not a number and makes its
+# GOP malformed; an integer too large for a float reads as infinite.
 NOT_BULK = st.sampled_from([True, False, 10**400, -10**400])
 
 
 class TestWellFormedBatches:
-    """Batches in which every GOP is well formed, which the handler checks
-    and converts in one bulk pass, against the reference; a bool or an
-    integer too large for a float in one coordinate sends the batch down
-    the per-entry walk instead."""
+    """Batches in which every GOP is well formed against the reference,
+    as they are and with one coordinate spoiled: a bool gives its GOP an
+    error, and an integer too large for a float reads as infinite."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
@@ -762,7 +781,6 @@ class TestWellFormedBatches:
             point = list(points[p % len(points)])
             point[position] = value
             points[p % len(points)] = point
-        assert (service._bulk_batch(gops) is None) == (spoil is not None)
         assert_encoded_as_reference({"target_bitrate": target, "modes": modes, "gops": gops}, tables)
 
 

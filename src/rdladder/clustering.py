@@ -46,7 +46,8 @@ class BitrateGrid:
 
     @classmethod
     def linspace(cls, lo: float = 0.2, hi: float = 6.0, count: int = 10) -> "BitrateGrid":
-        return cls(tuple(float(x) for x in np.linspace(lo, hi, count)))
+        # A negative count is an empty grid, which the grid itself rejects.
+        return cls(tuple(float(x) for x in np.linspace(lo, hi, max(count, 0))))
 
     @classmethod
     def default(cls) -> "BitrateGrid":
@@ -233,8 +234,11 @@ class ClusterModelSet:
         if len(set(self.tiers)) != len(self.tiers):
             repeated = next(t for i, t in enumerate(self.tiers) if t in self.tiers[:i])
             raise ValidationError(f"model set lists tier {repeated} twice")
-        expected = {(c, t) for c in self.clusters for t in self.tiers}
-        if set(self.models) != expected or set(self.centroids) != expected:
+        # The sizes first, so that a huge k builds no k x |tiers| keys.
+        expected = self.k * len(self.tiers)
+        if not (len(self.models) == len(self.centroids) == expected
+                and set(self.models) == set(self.centroids)
+                == {(c, t) for c in self.clusters for t in self.tiers}):
             raise ValidationError("model set must hold exactly k x |tiers| entries")
         for (cluster, tier), centroid in self.centroids.items():
             if len(centroid) != len(self.grid):

@@ -311,7 +311,7 @@ def load_model(text: str) -> ClusterModelSet:
                 centroids[(index, tier)] = centroid
         seed = int(_require(doc, "seed", "document"))
         provenance = str(_require(doc, "provenance", "document"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise ParseError(f"model file: malformed field ({exc})") from None
     return ClusterModelSet(
         k=k, grid=grid, tiers=tiers, centroids=centroids, models=models,

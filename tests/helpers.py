@@ -28,6 +28,7 @@ from rdladder.ingest import MEASUREMENT_HEADER
 from rdladder.service import handle_recommend_request
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = SRC.parent / "scripts"
 
 
 def package_env() -> dict:

@@ -111,6 +111,35 @@ class TestTrain:
         loaded = rl.load_model(out.read_text())
         assert loaded.grid.bitrates == pytest.approx(rl.BitrateGrid.default().bitrates, abs=1e-9)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("0.2:6:-1", "grid needs at least 4 bitrates"),
+        ("0.2:6", "grid spec '0.2:6' must be lo:hi:count or a comma list"),
+        ("x:6:10", "grid spec 'x:6:10': bad number"),
+        ("1,2,x", "grid spec '1,2,x': bad number"),
+    ])
+    def test_bad_grid_spec_exits_1(self, tmp_path, training_file, spec, message, capsys):
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", str(training_file), "--out", str(out), "--grid", spec])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
+
+    def test_tier_is_its_name_height(self, tmp_path, training_file, capsys):
+        # With 1080p renamed 1440p, the file trains and recommends with
+        # 1440p as the highest tier.
+        renamed, out = tmp_path / "train_1440.csv", tmp_path / "m.json"
+        renamed.write_text(training_file.read_text().replace(",1080p,", ",1440p,"))
+        assert cli.main(["train", str(renamed), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["tiers"][-1] == "1440p"
+        rc = cli.main(["recommend", "--model", str(out), str(renamed),
+                       "--target-bitrate", "3.0", "--format", "json"])
+        text = capsys.readouterr().out
+        assert rc == 0 and text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text, parse_constant=pytest.fail)
+        assert len(doc["recommendations"]) == 60
+        assert [entry for entry in doc["recommendations"] if "error" in entry] == []
+
 
 class TestVerifyPaper:
     def test_passes_and_reports_discrepancies(self, capsys):
@@ -318,7 +347,7 @@ class TestRecommend:
             "recommend", "--model", str(out), str(test2_file),
             "--target-bitrate", "3.0", "--modes", "vl", "--format", "json",
         ])
-        doc = json.loads(capsys.readouterr().out)
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
         assert rc == 0
         assert doc["savings"]["saving_percent"] == pytest.approx(46.36, abs=1.0)
 
@@ -348,6 +377,18 @@ class TestPlotdata:
         knees = [line for line in out.splitlines() if line.startswith("knee,2,")]
         assert len(knees) == 1
         assert knees[0].split(",")[3].startswith("1.4997")
+
+    def test_trained_model_cluster3(self, tmp_path, training_file, capsys):
+        model = tmp_path / "m.json"
+        assert cli.main(["train", str(training_file), "--out", str(model)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["plotdata", "--model", str(model), "--cluster", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[0] == "record,cluster,tier,bitrate_mbps,psnr_db"
+        assert {line.split(",")[1] for line in out[1:]} == {"3"}
+        assert sum(line.startswith("curve,") for line in out) == 117 * 4
+        assert sum(line.startswith("knee,") for line in out) >= 1
 
     def test_unknown_cluster_exits_1(self, capsys):
         assert cli.main(["plotdata", "--paper-model", "--cluster", "9"]) == 1
@@ -465,7 +506,15 @@ def _repeat_1080p_entry(doc):
     (lambda doc: doc["tiers"].append("720p"), rl.ValidationError, "model set lists tier 720p twice"),
     (_repeat_1080p_entry, rl.ParseError, "model file: cluster 1 lists tier 1080p twice"),
     (lambda doc: "[" * 100_000, rl.ParseError, "model file: JSON nested too deeply"),
-], ids=["k0", "no-tiers", "repeated-tier", "repeated-entry", "nested"])
+    (lambda doc: doc.update(k=float("inf")), rl.ParseError,
+     "model file: malformed field (cannot convert float infinity to integer)"),
+    (lambda doc: doc.update(seed=float("inf")), rl.ParseError,
+     "model file: malformed field (cannot convert float infinity to integer)"),
+    # Rejected by its size, before any k x |tiers| work.
+    (lambda doc: doc.update(k=10**12), rl.ValidationError,
+     "model set must hold exactly k x |tiers| entries"),
+], ids=["k0", "no-tiers", "repeated-tier", "repeated-entry", "nested", "k-inf", "seed-inf",
+        "k-huge"])
 def test_degenerate_model_file_exits_1(tmp_path, test2_file, monkeypatch, capsys, edit, error,
                                        message):
     doc = json.loads(rl.save_model(rl.builtin_model()))

@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +16,7 @@ from rdladder.errors import (
 )
 from rdladder.ingest import MEASUREMENT_HEADER
 
-from helpers import grid_measurements, grid_set, observation_batch, package_env
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from helpers import SCRIPTS, grid_measurements, grid_set, observation_batch, package_env
 
 
 def measurements(gop_id, tier, pairs):
@@ -488,7 +485,15 @@ def test_training_recovers_generating_model(recovery_csv, paper_model):
 
 
 def test_model_does_not_depend_on_row_order(recovery_csv):
+    # Nor on line ends, comments or blank lines: the parser reads 1024
+    # lines at a time, and the \r\n copy spans many of those blocks.
     header, *rows = recovery_csv.splitlines()
+    lines = [header]
+    for i, row in enumerate(rows):
+        lines += ["# comment, with, commas", "", row] if i % 100 == 50 else [row]
+    crlf = "\r\n".join(lines)
     np.random.default_rng(11).shuffle(rows)
     shuffled = "\n".join([header, *rows]) + "\n"
-    assert rl.save_model(train_text(shuffled)) == rl.save_model(train_text(recovery_csv))
+    model = rl.save_model(train_text(recovery_csv))
+    assert rl.save_model(train_text(shuffled)) == model
+    assert rl.save_model(train_text(crlf)) == model

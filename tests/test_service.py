@@ -28,7 +28,7 @@ from rdladder.service import (
     make_server,
 )
 
-from helpers import document_of, handle_document, package_env, reference_handle
+from helpers import SCRIPTS, document_of, handle_document, package_env, reference_handle
 
 T1080 = rl.tier_from_name("1080p")
 
@@ -244,7 +244,7 @@ class TestLiveServer:
     def test_recommend_round_trip(self, server, paper_model):
         payload = json.dumps(request_payload(paper_model)).encode()
         status, raw = post(server, "/v1/recommend", payload)
-        body = json.loads(raw)
+        body = json.loads(raw, parse_constant=pytest.fail)  # strict JSON
         assert status == 200
         assert body["recommendations"][0]["proposed_bitrate"] == pytest.approx(0.429, abs=0.005)
 
@@ -312,6 +312,13 @@ class TestLiveServer:
         assert body["recommendations"][1] == {
             "gop_id": "", "error": "gops[1]: gop_id must be a non-empty string"}
         assert body["recommendations"][0]["cluster"] == 6
+
+    def test_benchmark_shaped_batch_is_served_as_json_dumps(self, server, paper_model, tables):
+        payload = benchmark_shaped_payload(paper_model, 15, 1000)
+        status, raw = post(server, "/v1/recommend", json.dumps(payload).encode())
+        document = document_of(*handle_recommend_request(payload, tables))
+        assert status == 200 and len(document["recommendations"]) == 1000
+        assert raw == json.dumps(document).encode()
 
     def test_concurrent_identical_requests_get_identical_answers(self, server, paper_model):
         payload = json.dumps(request_payload(paper_model, clusters=(6, 5, 4))).encode()
@@ -643,6 +650,18 @@ def test_serve_command_exits_0_on_sigterm_while_starting(serve_command):
     code, seconds, log = stop_with_sigterm(proc)
     assert code == 0 and seconds < 2.0
     assert log == ""
+
+
+def test_serve_cpu_script():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "serve_cpu.py"), "--requests", "50", "--gops", "1",
+         "--seed", "1"],
+        env=package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"requests 50 gops_per_request 1 seed 1\n"
+                        r"client_p50_ms \d+\.\d{3}\n"
+                        r"server_cpu_ms_per_request \d+\.\d{3}\n", done.stdout), done.stdout
 
 
 # Numbers a request may carry: integers, values the batch must reject
